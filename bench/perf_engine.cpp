@@ -1,12 +1,14 @@
 // Reproducible engine-performance harness (BENCH_engine.json).
 //
 // Times the flow engine on (workload x matrix-point) cells at a given
-// machine size, in two configurations over identical deterministic routing
+// machine size, in two modes over identical deterministic routing
 // (adaptive routing off so both modes execute the same paths):
 //
-//   optimized: incremental_solver + route_cache + solve_cache on (defaults)
-//   baseline:  all three off — full re-solve and re-route at every event,
-//              the pre-optimization behaviour
+//   optimized: FlowEngine — incremental component re-solve, route and
+//              solve caches, indexed dispatch
+//   baseline:  the ReferenceEngine (src/verify/reference_engine.hpp) —
+//              re-route every activation, re-solve every active flow and
+//              sweep every flow at every event, sharing none of the above
 //
 // Each cell keeps ONE engine per mode and times two regimes on it:
 //
@@ -24,12 +26,11 @@
 // Schema v3 adds a thread-scaling section: --threads takes a comma list of
 // solver thread counts and re-times the optimized configuration at each,
 // asserting that every thread count reproduces the serial run's physical
-// metrics bit-for-bit (and that all multi-threaded runs agree on the cache
-// counters too — see EngineOptions::solver_threads for why threads=1 keeps
-// its own counter stream). --min-thread-speedup optionally gates the best
-// 4-thread-vs-serial steady speedup; it defaults to 0 (report-only) because
-// wall-clock scaling is a property of the host, not the code — see
-// scripts/run_bench.sh, which engages it only on multi-core machines.
+// metrics and work counters bit-for-bit. --min-thread-speedup optionally
+// gates the best 4-thread-vs-serial steady speedup; it defaults to 0
+// (report-only) because wall-clock scaling is a property of the host, not
+// the code — see scripts/run_bench.sh, which engages it only on multi-core
+// machines.
 //
 // Every cell cross-checks bit-identity three ways (baseline vs optimized,
 // and cold vs steady within each mode) on the full physical metric set — a
@@ -41,14 +42,15 @@
 // /proc/self/status — the process high-water mark as of the end of the
 // cell, monotone across cells; 0 on non-Linux hosts) and
 // bytes_per_endpoint (peak_rss_bytes / nodes). --optimized-only skips the
-// cacheless baseline mode so million-endpoint cells do not have to pay a
+// ReferenceEngine baseline so million-endpoint cells do not have to pay a
 // full re-solve per event; such cells report speedup 0 and gate identity
 // on cold-vs-steady self-consistency alone. --max-rss-gb fails the run
 // when the final peak RSS exceeds the given budget.
 //
 // Schema v5 adds a per-phase timing breakdown to each mode object —
 // route_us_per_event, dispatch_us_per_event, audit_us_per_event alongside
-// the existing solve_us_per_event (all from EngineOptions::time_solver) —
+// the existing solve_us_per_event (all from EngineOptions::time_solver;
+// the baseline fills route, solve and dispatch only) —
 // so a wall-time regression is attributable to routing, solving, event
 // dispatch, or auditing rather than just to a cell. It also adds the
 // --min-cold-speedup gate: cold (first-run) speedup is gated separately
@@ -80,6 +82,7 @@
 #include "core/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/prng.hpp"
+#include "verify/reference_engine.hpp"
 #include "workloads/factory.hpp"
 
 namespace {
@@ -129,7 +132,8 @@ TopologyPoint parse_point_token(const std::string& token) {
       " (expected fattree, torus3d, nestghc-tT-uU or nesttree-tT-uU)");
 }
 
-double time_run(FlowEngine& engine, const TrafficProgram& program,
+template <typename Engine>
+double time_run(Engine& engine, const TrafficProgram& program,
                 SimResult& result) {
   const auto t0 = std::chrono::steady_clock::now();
   result = engine.run(program);
@@ -153,8 +157,8 @@ bool same_physical(const SimResult& a, const SimResult& b) {
          a.undelivered_bytes == b.undelivered_bytes;
 }
 
-/// same_physical plus the work counters — the full-determinism bar that all
-/// multi-threaded (solver_threads > 1) runs must clear against each other.
+/// same_physical plus the work counters — the full-determinism bar that runs
+/// at every solver_threads count must clear against each other.
 bool same_full(const SimResult& a, const SimResult& b) {
   return same_physical(a, b) && a.solver_rounds == b.solver_rounds &&
          a.route_cache_hits == b.route_cache_hits &&
@@ -163,21 +167,21 @@ bool same_full(const SimResult& a, const SimResult& b) {
          a.solve_cache_misses == b.solve_cache_misses;
 }
 
+/// Times one engine (FlowEngine or the ReferenceEngine baseline) on a cell:
+/// a cold run, then `repeat` steady runs on the same engine.
+template <typename Engine>
 ModeStats run_mode(const Topology& topology, const TrafficProgram& program,
-                   bool optimized, std::uint32_t repeat, double latency,
+                   std::uint32_t repeat, double latency,
                    std::size_t solve_cache_words,
                    std::uint32_t solver_threads = 1) {
   EngineOptions options;
   options.adaptive_routing = false;  // identical deterministic paths
   options.time_solver = true;
   options.hop_latency_seconds = latency;
-  options.incremental_solver = optimized;
-  options.route_cache = optimized;
-  options.solve_cache = optimized;
   options.solve_cache_budget_words = solve_cache_words;
   options.solver_threads = solver_threads;
 
-  FlowEngine engine(topology, options);
+  Engine engine(topology, options);
   ModeStats stats;
   SimResult cold;
   stats.cold_wall_seconds = time_run(engine, program, cold);
@@ -284,10 +288,9 @@ std::string compiler_id() {
 
 int main(int argc, char** argv) {
   CliParser cli("perf_engine",
-                "Times the flow engine (incremental solver + route cache + "
-                "solve cache vs full re-solve, plus parallel solver thread "
-                "scaling) over workload x topology cells and writes "
-                "BENCH_engine.json.");
+                "Times the flow engine (FlowEngine vs the from-scratch "
+                "ReferenceEngine, plus parallel solver thread scaling) over "
+                "workload x topology cells and writes BENCH_engine.json.");
   cli.add_option("nodes", "machine size (endpoints = tasks)", "4096");
   cli.add_option("workloads",
                  "comma list of workload specs (default: all eleven)", "");
@@ -314,7 +317,7 @@ int main(int argc, char** argv) {
                  "the steady gate (0 = report only)",
                  "0");
   cli.add_flag("optimized-only",
-               "skip the cacheless baseline mode (million-endpoint cells); "
+               "skip the ReferenceEngine baseline (million-endpoint cells); "
                "speedup is reported as 0 and identity gates on cold-vs-"
                "steady self-consistency of the optimized mode alone");
   cli.add_option("max-rss-gb",
@@ -407,11 +410,11 @@ int main(int argc, char** argv) {
 
       std::optional<ModeStats> baseline;
       if (!optimized_only) {
-        baseline = run_mode(*topology, program, false, repeat, latency,
-                            solve_cache_words);
+        baseline = run_mode<verify::ReferenceEngine>(
+            *topology, program, repeat, latency, solve_cache_words);
       }
-      const ModeStats optimized =
-          run_mode(*topology, program, true, repeat, latency, solve_cache_words);
+      const ModeStats optimized = run_mode<FlowEngine>(
+          *topology, program, repeat, latency, solve_cache_words);
 
       const bool identical =
           (!baseline ||
@@ -480,17 +483,18 @@ int main(int argc, char** argv) {
       // ------------------------------------------- thread-scaling section
       if (!thread_counts.empty()) {
         out << ",\n      \"thread_scaling\": [";
-        // The serial (threads=1) optimized run anchors both comparisons:
-        // physical identicality for every count, and the speedup baseline.
+        // The serial (threads=1) optimized run anchors every comparison:
+        // physical and counter identicality for every count, and the
+        // speedup baseline.
         std::optional<ModeStats> serial;
-        std::optional<SimResult> parallel_reference;
         bool first_entry = true;
         for (const auto threads : thread_counts) {
-          const ModeStats timed =
-              run_mode(*topology, program, true, repeat, latency, solve_cache_words, threads);
+          const ModeStats timed = run_mode<FlowEngine>(
+              *topology, program, repeat, latency, solve_cache_words, threads);
           if (threads == 1 && !serial) serial = timed;
           if (!serial) {
-            serial = run_mode(*topology, program, true, repeat, latency, solve_cache_words, 1);
+            serial = run_mode<FlowEngine>(*topology, program, repeat, latency,
+                                          solve_cache_words, 1);
           }
 
           const bool physical_identical =
@@ -500,15 +504,8 @@ int main(int argc, char** argv) {
           // iteration), never the best-of-repeat result: cache counters
           // evolve across steady iterations, so comparing whichever
           // iteration happened to be fastest is timing-dependent noise.
-          bool counters_identical = true;
-          if (threads > 1) {
-            if (!parallel_reference) {
-              parallel_reference = timed.identity_result;
-            } else {
-              counters_identical =
-                  same_full(*parallel_reference, timed.identity_result);
-            }
-          }
+          const bool counters_identical =
+              same_full(serial->identity_result, timed.identity_result);
           if (!physical_identical || !counters_identical) {
             std::cerr << "THREAD MISMATCH on " << spec << " @ "
                       << point.config_name() << " at solver_threads="

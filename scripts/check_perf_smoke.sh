@@ -10,18 +10,22 @@
 #
 #   1. a baseline-vs-optimized pass (mapreduce + nearneighbors on
 #      NestGHC(t=2,u=4) at N=256) — the unconditional bit-identity
-#      cross-check between the cacheless and optimized engines, plus the
-#      thread-identicality sweep at 1,2,4 solver threads. No speedup floor:
-#      at toy N the ratio is noise, but identity must hold at every size.
+#      cross-check between the ReferenceEngine and FlowEngine, plus the
+#      thread-identicality sweep (results and work counters) at 1,2,4
+#      solver threads. No speedup floor: at toy N the ratio is noise, but
+#      identity must hold at every size.
 #   2. an --optimized-only pass at N=1024 under --max-rss-gb, exercising
 #      the cold-vs-steady self-consistency gate and the memory budget the
 #      million-endpoint recipe relies on (default ceiling 2 GiB — the
 #      N=1024 cells sit well under 1).
 #   3. a dispatch-phase gate on the million-flow N=1024 mapreduce cell:
-#      --min-dispatch-speedup 1.2 fails the script if the kernelized
+#      --min-dispatch-speedup 1.92 fails the script if the kernelized
 #      dispatch (lazy advancement + fused whole-set sweep, DESIGN.md
-#      section 12) stops beating the eager reference sweep — the phase
-#      ratio run_bench.sh records at 1.3-1.6x.
+#      section 12) stops beating the ReferenceEngine's every-flow sweep by
+#      that much — the former 1.2x floor scaled by how much slower the
+#      ReferenceEngine is than the eager cacheless baseline it replaced
+#      (1.60x on this cell; measured phase ratio 2.12-2.16x, see
+#      EXPERIMENTS.md).
 #
 # Identicality failures, thread divergence, a dispatch-phase regression,
 # or an RSS overrun exit non-zero and fail CI.
@@ -60,9 +64,9 @@ mkdir -p "$repo_root/build/artifacts"
   --workloads mapreduce \
   --points nestghc-t2-u4 \
   --repeat 1 \
-  --min-dispatch-speedup 1.2 \
+  --min-dispatch-speedup 1.92 \
   --solve-cache-mb 512 \
   --out "$repo_root/build/artifacts/BENCH_perf_smoke_dispatch.json"
 
 echo "perf smoke: A/B + thread identicality at N=256, optimized-only" \
-  "at N=$nodes under $rss_gb GiB peak RSS, dispatch gate >= 1.2x — ok"
+  "at N=$nodes under $rss_gb GiB peak RSS, dispatch gate >= 1.92x — ok"

@@ -46,7 +46,7 @@ constexpr auto finish_after = [](const auto& a, const auto& b) {
 FlowEngine::FlowEngine(const Topology& topology, EngineOptions options)
     : topology_(topology),
       options_(options),
-      route_cache_active_(options.route_cache && !options.adaptive_routing &&
+      route_cache_active_(!options.adaptive_routing &&
                           topology.routes_are_static()) {
   // Floor the batching window at a couple of ulps so the flow that defines
   // dt always passes its own completion test despite rounding.
@@ -69,24 +69,21 @@ FlowEngine::FlowEngine(const Topology& topology, EngineOptions options)
   link_in_component_.assign(num_links, 0);
 
   // Intra-run parallelism: one keep-alive pool for the engine's lifetime.
-  // Only the incremental path is parallelised (the component partition is
-  // what the workers divide), so a serial-solver engine never pays for a
-  // pool it cannot use.
+  // A single-threaded engine solves the same components inline and never
+  // pays for a pool.
   std::size_t solver_threads = options_.solver_threads;
   if (solver_threads == 0) {
     solver_threads =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  if (solver_threads > 1 && options_.incremental_solver) {
+  if (solver_threads > 1) {
     solver_pool_ = std::make_unique<ThreadPool>(solver_threads);
     worker_solvers_.reserve(solver_threads);
     for (std::size_t w = 0; w < solver_threads; ++w) {
       worker_solvers_.push_back(
           std::make_unique<FairShareSolver<EngineContext>>());
-      worker_solvers_.back()->set_strategy(options_.solver_strategy);
     }
   }
-  solver_.set_strategy(options_.solver_strategy);
 }
 
 void FlowEngine::set_capacity_factor(LinkId link, double factor) {
@@ -254,7 +251,7 @@ bool FlowEngine::activate(FlowIndex f, double now, SimResult& result) {
   for (const LinkId l : path_view(f)) {
     incidence_.add(l, f);
     link_weight_sum_[l] += spec.weight;
-    if (incremental_) mark_dirty(l);
+    mark_dirty(l);
     if (link_active_count_[l]++ == 0) {
       ++num_active_links_;
       if (!link_in_used_[l]) {
@@ -282,7 +279,7 @@ void FlowEngine::complete(FlowIndex f, double now,
     // Zero exactly when the link empties so weight dust never accumulates.
     link_weight_sum_[l] =
         link_active_count_[l] == 0 ? 0.0 : link_weight_sum_[l] - weight;
-    if (incremental_) mark_dirty(l);
+    mark_dirty(l);
     incidence_.note_stale(l);
     if (incidence_.should_compact(l)) compact_link(l);
   }
@@ -320,7 +317,7 @@ void FlowEngine::detach_from_network(FlowIndex f) {
     if (--link_active_count_[l] == 0) --num_active_links_;
     link_weight_sum_[l] =
         link_active_count_[l] == 0 ? 0.0 : link_weight_sum_[l] - weight;
-    if (incremental_) mark_dirty(l);
+    mark_dirty(l);
     // Eager removal, not note_stale: a detached flow may re-activate on a
     // DIFFERENT path (reroute, restart retry), and the solver's staleness
     // filter — "is the flow active?" — would then wrongly freeze it at
@@ -346,69 +343,28 @@ void FlowEngine::recycle_path(FlowIndex f) {
   free_paths_by_length_[len].push_back(path_offset_[f]);
 }
 
-bool FlowEngine::collect_dirty_components() {
+bool FlowEngine::collect_dirty_components_partitioned() {
   // Seed with the dirty links that still carry active flows; a drained
   // dirty link contributes nothing itself, but each link of a completed
   // flow's path was marked dirty individually, so every component the
-  // completion touched is reached through its surviving links.
+  // completion touched is reached through its surviving links. Each seed's
+  // component is BFS-exhausted before the next seed starts, so every
+  // component occupies a contiguous range of affected_flows_ and
+  // affected_links_ — the unit of work the solver pool divides.
+  //
+  // BFS over the bipartite flow-link incidence; affected_links_ doubles as
+  // the frontier queue. Each range is a *complete* connected component:
+  // any flow sharing a link with an affected flow is affected, which is
+  // exactly the closure that makes a sub-solve exact (rates of a component
+  // depend on nothing outside it, and within it the solver's freeze
+  // sequence is a pure function of content — see maxmin.hpp).
   affected_links_.clear();
   affected_flows_.clear();
-  for (const LinkId seed : dirty_links_) {
-    link_dirty_[seed] = 0;
-    if (link_active_count_[seed] != 0 && !link_in_component_[seed]) {
-      link_in_component_[seed] = 1;
-      affected_links_.push_back(seed);
-    }
-  }
-  dirty_links_.clear();
-
+  components_.clear();
   // Once the walk has pulled in more than half the active flows, finishing
   // it costs more than it can save — the whole-set solve it would justify
   // is exact for any superset. Bail, clear the marks, let the caller
   // promote.
-  const std::size_t bail_flows = active_flows_.size() / 2;
-
-  // BFS over the bipartite flow-link incidence; affected_links_ doubles as
-  // the frontier queue. The result is a union of *complete* connected
-  // components: any flow sharing a link with an affected flow is affected,
-  // which is exactly the closure that makes a sub-solve exact (rates of a
-  // component depend on nothing outside it).
-  for (std::size_t scan = 0; scan < affected_links_.size(); ++scan) {
-    for (const FlowIndex g : incidence_.flows(affected_links_[scan])) {
-      if (state_[g] != FlowState::kActive || flow_in_component_[g]) continue;
-      flow_in_component_[g] = 1;
-      affected_flows_.push_back(g);
-      for (const LinkId l : path_view(g)) {
-        if (!link_in_component_[l]) {
-          link_in_component_[l] = 1;
-          affected_links_.push_back(l);
-        }
-      }
-    }
-    if (affected_flows_.size() > bail_flows) {
-      for (const LinkId l : affected_links_) link_in_component_[l] = 0;
-      for (const FlowIndex g : affected_flows_) flow_in_component_[g] = 0;
-      return true;
-    }
-  }
-  for (const LinkId l : affected_links_) link_in_component_[l] = 0;
-  for (const FlowIndex g : affected_flows_) flow_in_component_[g] = 0;
-  return false;
-}
-
-bool FlowEngine::collect_dirty_components_partitioned() {
-  // Same seeding and closure rules as collect_dirty_components(), but each
-  // seed's component is BFS-exhausted before the next seed starts, so every
-  // component occupies a contiguous range of affected_flows_ and
-  // affected_links_ — the unit of work the solver pool divides. The union
-  // of ranges equals the serial function's affected set; only the
-  // enumeration order differs (grouped by component instead of globally
-  // interleaved), which cannot change any rate: components share no links,
-  // and within a component the solver's freeze sequence is a pure function
-  // of content, not of enumeration order (see maxmin.hpp).
-  affected_links_.clear();
-  affected_flows_.clear();
-  components_.clear();
   const std::size_t bail_flows = active_flows_.size() / 2;
   for (const LinkId seed : dirty_links_) link_dirty_[seed] = 0;
   for (const LinkId seed : dirty_links_) {
@@ -468,8 +424,8 @@ void FlowEngine::solve_component(std::size_t c,
       range.flow_end - range.flow_begin);
 
   if (solve_cache_active_) {
-    // Per-component analogue of try_cached_solve: an unstable path identity
-    // only forfeits memoization for THIS component, not the whole event.
+    // Per-component analogue of try_cached_whole_solve: an unstable path
+    // identity only forfeits memoization for THIS component.
     bool stable_identity = true;
     for (const FlowIndex f : flows) {
       if (!path_shared_[f]) {
@@ -507,11 +463,12 @@ void FlowEngine::parallel_solve(SimResult& result) {
   component_hash_.assign(ncomp, 0);
   if (component_keys_.size() < ncomp) component_keys_.resize(ncomp);
 
-  if (ncomp == 1) {
-    // Nothing to divide: solve inline on the caller with the engine's own
-    // scratch, skipping the pool round-trip. Identical arithmetic either
-    // way — worker scratch carries no state between solves.
-    solve_component(0, solver_);
+  if (ncomp == 1 || solver_pool_ == nullptr) {
+    // Nothing to divide (or nobody to divide it among): solve inline on the
+    // caller with the engine's own scratch, in component order. Identical
+    // arithmetic either way — worker scratch carries no state between
+    // solves, and the commit below is the same.
+    for (std::size_t c = 0; c < ncomp; ++c) solve_component(c, solver_);
   } else {
     // Workers pull component indices off a shared counter (dynamic load
     // balance: component sizes are wildly uneven). Which worker solves
@@ -539,7 +496,7 @@ void FlowEngine::parallel_solve(SimResult& result) {
   // Serial commit in component-discovery order: counters and cache inserts
   // become a pure function of the event sequence — independent of worker
   // count and scheduling — which is what makes every SimResult field
-  // bit-identical across thread counts > 1.
+  // bit-identical across thread counts, 1 included.
   for (std::size_t c = 0; c < ncomp; ++c) {
     switch (component_cache_[c]) {
       case ComponentCache::kHit:
@@ -641,13 +598,13 @@ void FlowEngine::insert_solved_rates(std::span<const std::uint64_t> key,
   solve_cache_entries_.push_back(entry);
 }
 
-bool FlowEngine::try_cached_solve(SimResult& result,
-                                  std::span<const LinkId> links,
-                                  std::span<const FlowIndex> flows) {
+bool FlowEngine::try_cached_whole_solve(SimResult& result) {
   solve_insert_armed_ = false;
+  const std::span<const LinkId> links = used_links_;
+  const std::span<const FlowIndex> flows = active_flows_;
   // The key identifies flows by their shared (route-cache-owned) arena
   // extents; a free-listed extent's offset means nothing across events, so
-  // any unshared path in the component forfeits memoization for this event.
+  // any unshared path forfeits memoization for this event.
   for (const FlowIndex f : flows) {
     if (!path_shared_[f]) return false;
   }
@@ -666,22 +623,14 @@ bool FlowEngine::try_cached_solve(SimResult& result,
 
   solve_key_hash_ = build_solve_key(links, flows, solve_key_);
   if (const double* memo = find_cached_rates(solve_key_, solve_key_hash_)) {
-    if (options_.dispatch_strategy != DispatchStrategy::kIndexed &&
-        flows.data() == active_flows_.data() &&
-        flows.size() == active_flows_.size()) {
-      // Whole-set hit feeding this event's fused sweep (whole-set events
-      // always sweep under kEager/kAuto): the memo blob is already in slot
-      // order, so the sweep streams it directly — skipping this O(active)
-      // scatter AND its own rates_ gather. Bitwise equivalent: a flow whose
-      // rate is unchanged already holds these exact bits in rates_ (the
-      // lazy-advance invariant keeps rates_[f] == finish_rate between
-      // solves), and the sweep writes back every entry that differs.
-      whole_hit_slot_rates_ = memo;
-    } else {
-      for (std::size_t i = 0; i < flows.size(); ++i) {
-        rates_[flows[i]] = memo[i];
-      }
-    }
+    // A whole-set event always takes the fused sweep, and the memo blob is
+    // already in slot order, so the sweep streams it directly — skipping
+    // an O(active) scatter into rates_ AND its own rates_ gather. Bitwise
+    // equivalent: a flow whose rate is unchanged already holds these exact
+    // bits in rates_ (the lazy-advance invariant keeps rates_[f] ==
+    // finish_rate between solves), and the sweep writes back every entry
+    // that differs.
+    whole_hit_slot_rates_ = memo;
     ++result.solve_cache_hits;
     return true;
   }
@@ -692,9 +641,9 @@ bool FlowEngine::try_cached_solve(SimResult& result,
   return false;
 }
 
-void FlowEngine::solve_cache_insert(std::span<const FlowIndex> flows) {
+void FlowEngine::solve_cache_insert() {
   solve_insert_armed_ = false;
-  insert_solved_rates(solve_key_, solve_key_hash_, flows);
+  insert_solved_rates(solve_key_, solve_key_hash_, active_flows_);
 }
 
 void FlowEngine::cancel_descendants(FlowIndex f, SimResult& result) {
@@ -746,7 +695,7 @@ void FlowEngine::apply_due_fault_events(FaultDriver& driver, double now,
     const double capacity = link_base_capacity_[link] * factor;
     if (capacity == link_capacity_[link]) continue;
     link_capacity_[link] = capacity;
-    if (incremental_) mark_dirty(link);
+    mark_dirty(link);
   }
 }
 
@@ -805,12 +754,13 @@ void FlowEngine::recover_flow(FlowIndex f, double now, double remaining_now,
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch kernel (DESIGN.md §12). One arithmetic, three access strategies:
-// per-flow progress is rebased ("settled") only when a flow's rate changes,
-// and between touches the flow's absolute predicted finish time — written
-// once per rate change — is the single source of truth the sweep/heap
-// strategies both read. That shared arithmetic is what makes every strategy
-// and thread count bit-identical.
+// Dispatch kernel (DESIGN.md §12). One arithmetic, two access paths: per-
+// flow progress is rebased ("settled") only when a flow's rate changes, and
+// between touches the flow's absolute predicted finish time — written once
+// per rate change — is the single source of truth the sweep and the heap
+// both read. That shared arithmetic is what makes every event bit-identical
+// whichever path serves it, at every thread count, and what the
+// ReferenceEngine (src/verify/) reproduces without either.
 
 void FlowEngine::settle_slot(std::uint32_t s, double at) noexcept {
   SlotState& slot = slots_[s];
@@ -861,9 +811,9 @@ void FlowEngine::advance_flows(std::span<const FlowIndex> flows, double now,
                                std::vector<FlowIndex>* changed_out) {
   // Quantise BEFORE the zero-rate test below: the recovery path restarts
   // the event loop, and solved-but-skipped flows would otherwise keep raw
-  // rates that only a full (non-incremental) re-solve would ever
-  // re-quantise — the incremental path would then diverge from the naive
-  // one on the next event (found by the chaos harness, see src/verify/).
+  // rates that only a from-scratch re-solve would ever re-quantise — the
+  // incremental path would then diverge from the reference engine on the
+  // next event (found by the chaos harness, see src/verify/).
   const double log_step = options_.rate_quantum_rel > 0.0
                               ? std::log1p(options_.rate_quantum_rel)
                               : 0.0;
@@ -899,7 +849,7 @@ void FlowEngine::advance_flows(std::span<const FlowIndex> flows, double now,
   };
 
   const std::size_t n = flows.size();
-  if (!parallel_active_ || n < 2 * kDispatchShardGrain) {
+  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
     for (const FlowIndex f : flows) advance_one(f, zero_out, changed_out);
     return;
   }
@@ -1036,9 +986,9 @@ double FlowEngine::advance_flows_whole(double now,
       // slot_rates streams sequentially; the rates_[f] gather it replaces
       // is one DRAM miss per slot at million-flow scale. Writebacks then
       // only happen past the unchanged test: a skipped flow's rates_ entry
-      // already holds exactly these bits (see try_cached_solve). The fast
-      // path touches only slot_rates/slot_rate_/slot_finish_ — the settle
-      // record (slots_) is never pulled in for unchanged flows.
+      // already holds exactly these bits (see try_cached_whole_solve). The
+      // fast path touches only slot_rates/slot_rate_/slot_finish_ — the
+      // settle record (slots_) is never pulled in for unchanged flows.
       double r = slot_rates != nullptr ? slot_rates[s]
                                        : rates_[active_flows_[s]];
       if (log_step > 0.0 && r > 0.0) {
@@ -1066,7 +1016,7 @@ double FlowEngine::advance_flows_whole(double now,
   };
 
   cand_slots_.clear();
-  if (!parallel_active_ || n < 2 * kDispatchShardGrain) {
+  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
     return sweep_range(0, n, zero_out, cand_slots_);
   }
   // Sharding mirrors advance_flows: disjoint slot ranges, zero lists
@@ -1096,7 +1046,7 @@ double FlowEngine::advance_flows_whole(double now,
 
 double FlowEngine::min_slot_finish() {
   const std::size_t n = slot_finish_.size();
-  if (!parallel_active_ || n < 2 * kDispatchShardGrain) {
+  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
     double best = std::numeric_limits<double>::infinity();
     for (const double finish : slot_finish_) best = std::min(best, finish);
     return best;
@@ -1125,7 +1075,7 @@ double FlowEngine::min_slot_finish() {
 
 void FlowEngine::harvest_finished(double deadline) {
   const std::size_t n = slot_finish_.size();
-  if (!parallel_active_ || n < 2 * kDispatchShardGrain) {
+  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
     for (std::size_t s = 0; s < n; ++s) {
       if (slot_finish_[s] <= deadline) {
         harvest_scratch_.push_back(active_flows_[s]);
@@ -1205,9 +1155,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   // on a static-route topology are pure functions of (src, dst), so repeated
   // programs on one engine (sweep and ablation drivers, repeated phases)
   // route straight from cache on every run after the first.
-  incremental_ = options_.incremental_solver;
-  solve_cache_active_ =
-      options_.solve_cache && incremental_ && route_cache_active_;
+  solve_cache_active_ = route_cache_active_;
   if (solve_cache_active_) {
     // Equal-weight flows are bit-exactly exchangeable inside a solver
     // freeze round (identical subtrahends commute in floating point);
@@ -1245,11 +1193,8 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   incidence_.reset(link_capacity_.size());
   std::fill(link_in_used_.begin(), link_in_used_.end(), 0);
   solver_.resize(link_capacity_.size(), n);
-  parallel_active_ = incremental_ && solver_pool_ != nullptr;
-  if (parallel_active_) {
-    for (auto& solver : worker_solvers_) {
-      solver->resize(link_capacity_.size(), n);
-    }
+  for (auto& solver : worker_solvers_) {
+    solver->resize(link_capacity_.size(), n);
   }
   flow_finish_times_scratch_.clear();
   if (options_.record_flow_times) {
@@ -1294,18 +1239,10 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
 
   release_queue_.clear();
   // Timeline presence is frozen here: an exhausted driver (no events at
-  // all) must leave every code path — including the legacy strand
-  // enumeration order below — exactly as a driverless run, bit for bit.
+  // all) must leave every code path exactly as a driverless run, bit for
+  // bit.
   const bool have_timeline =
       driver != nullptr && std::isfinite(driver->next_event_time());
-  // The pre-timeline engine strands zero-rate flows in solver-enumeration
-  // order, which differs between the serial and partitioned component
-  // collectors. That order is part of the bit-exact regression surface, so
-  // it is kept whenever this run cannot observe recovery; timeline runs
-  // (and non-default policies) instead sort by flow index, which is what
-  // makes their results identical at every solver_threads count.
-  const bool legacy_strand_order =
-      options_.recovery_policy == RecoveryPolicy::kStrand && !have_timeline;
 
   for (;;) {
     // Bring the fault state up to `now` before activating or solving:
@@ -1394,105 +1331,79 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // zero-rate recovery passes below enumerate exactly this set.
     whole_hit_slot_rates_ = nullptr;
     std::span<const FlowIndex> solved = active_flows_;
-    if (incremental_) {
-      // One selection policy serves both the serial and the parallel
-      // incremental path; only HOW the chosen set is solved differs
-      // (inline, pool-sharded whole set, or per-component fan-out). Every
-      // choice below reproduces the same rates bit-for-bit — solving
-      // independent components together or apart is the same arithmetic
-      // (the freeze sequence is a pure function of component content,
-      // maxmin.hpp), and re-solving an untouched component regenerates its
-      // frozen rates exactly — so the policy only routes work, and every
-      // decision is a pure function of engine state (never of thread
-      // count or scheduling), keeping parallel counters deterministic.
-      //
-      // Threshold: most of the live fabric dirty (giant completion
-      // batches: the mapreduce shuffle dirties nearly every link every
-      // event) means the component BFS would walk the whole incidence only
-      // to rediscover "everything" — solve the whole active set directly.
-      bool whole = 2 * dirty_links_.size() >= num_active_links_;
-      bool cache_hit = false;
-      bool cache_probed = false;  // try_cached_solve ran on the whole set
-      if (!whole && solve_cache_active_ && whole_set_hint_ &&
-          !solve_cache_entries_.empty()) {
-        // Probe-first: recent events solved the whole active set, so its
-        // canonical key likely repeats (phase-structured workloads replay
-        // bit-identical allocation problems). Looking it up costs one key
-        // build; a hit skips BOTH the component BFS and the solve. Misses
-        // are tolerated once (the whole-set solve they promote re-earns
-        // the hint via the cache insert); twice in a row drops the hint
-        // and returns to BFS-decided routing.
-        prune_used_links();
-        cache_hit = try_cached_solve(result, used_links_, active_flows_);
-        cache_probed = true;
-        if (cache_hit) {
-          whole = true;
-          whole_probe_misses_ = 0;
-        } else if (++whole_probe_misses_ <= 1) {
-          whole = true;
-        } else {
-          whole_set_hint_ = false;
-          solve_insert_armed_ = false;  // key is whole-set; form undecided
-          cache_probed = false;
-        }
-      }
-      bool bailed = false;
-      if (!whole) {
-        // Re-solve only the connected components touched by an occupancy
-        // change; untouched components keep their frozen rates (max-min
-        // independence — see DESIGN.md "Performance model"). The walk
-        // bails once it has pulled in over half the active flows; a
-        // whole-set solve is then cheaper and just as exact.
-        bailed = parallel_active_ ? collect_dirty_components_partitioned()
-                                  : collect_dirty_components();
-        whole = bailed;
-      }
-      if (whole) {
-        for (const LinkId l : dirty_links_) link_dirty_[l] = 0;
-        dirty_links_.clear();
-        prune_used_links();
-        if (solve_cache_active_) {
-          whole_set_hint_ = true;
-          if (!cache_probed) whole_probe_misses_ = 0;
-        }
-        if (!cache_hit && !active_flows_.empty()) {
-          if (solve_cache_active_ && !cache_probed) {
-            cache_hit = try_cached_solve(result, used_links_, active_flows_);
-          }
-          if (!cache_hit) {
-            result.solver_rounds += solver_.solve(
-                ctx, used_links_, link_weight_sum_, active_flows_, rates_,
-                parallel_active_ ? solver_pool_.get() : nullptr);
-            // Memoize BEFORE quantisation: the quantiser below is a pure
-            // per-flow function, so replaying raw rates through it on a
-            // future hit lands on identical quantised values.
-            if (solve_insert_armed_) solve_cache_insert(active_flows_);
-          }
-        }
-        solved = active_flows_;
-      } else if (parallel_active_) {
-        // Per-component ranges solved across the engine-owned pool. Cache
-        // inserts happen inside the commit phase, still BEFORE quantisation.
-        if (!components_.empty()) parallel_solve(result);
-        solved = affected_flows_;
+    // The selection policy below only routes work: whole active set or
+    // per-component ranges, each solved inline, pool-sharded or fanned out
+    // across the pool. Every choice reproduces the same rates bit-for-bit —
+    // solving independent components together or apart is the same
+    // arithmetic (the freeze sequence is a pure function of component
+    // content, maxmin.hpp), and re-solving an untouched component
+    // regenerates its frozen rates exactly — and every decision is a pure
+    // function of engine state (never of thread count or scheduling), which
+    // keeps the work counters identical at every thread count.
+    //
+    // Threshold: most of the live fabric dirty (giant completion batches:
+    // the mapreduce shuffle dirties nearly every link every event) means
+    // the component BFS would walk the whole incidence only to rediscover
+    // "everything" — solve the whole active set directly.
+    bool whole = 2 * dirty_links_.size() >= num_active_links_;
+    bool cache_hit = false;
+    bool cache_probed = false;  // try_cached_whole_solve ran this event
+    if (!whole && solve_cache_active_ && whole_set_hint_ &&
+        !solve_cache_entries_.empty()) {
+      // Probe-first: recent events solved the whole active set, so its
+      // canonical key likely repeats (phase-structured workloads replay
+      // bit-identical allocation problems). Looking it up costs one key
+      // build; a hit skips BOTH the component BFS and the solve. Misses are
+      // tolerated once (the whole-set solve they promote re-earns the hint
+      // via the cache insert); twice in a row drops the hint and returns to
+      // BFS-decided routing.
+      prune_used_links();
+      cache_hit = try_cached_whole_solve(result);
+      cache_probed = true;
+      if (cache_hit) {
+        whole = true;
+        whole_probe_misses_ = 0;
+      } else if (++whole_probe_misses_ <= 1) {
+        whole = true;
       } else {
-        if (!affected_flows_.empty() &&
-            (!solve_cache_active_ ||
-             !try_cached_solve(result, affected_links_, affected_flows_))) {
-          result.solver_rounds += solver_.solve(ctx, affected_links_,
-                                                link_weight_sum_,
-                                                affected_flows_, rates_);
-          if (solve_insert_armed_) solve_cache_insert(affected_flows_);
+        whole_set_hint_ = false;
+        solve_insert_armed_ = false;  // key is whole-set; form undecided
+        cache_probed = false;
+      }
+    }
+    // Otherwise re-solve only the connected components touched by an
+    // occupancy change; untouched components keep their frozen rates
+    // (max-min independence — see DESIGN.md §6). The walk bails once it has
+    // pulled in over half the active flows; a whole-set solve is then
+    // cheaper and just as exact.
+    if (!whole) whole = collect_dirty_components_partitioned();
+    if (whole) {
+      for (const LinkId l : dirty_links_) link_dirty_[l] = 0;
+      dirty_links_.clear();
+      prune_used_links();
+      if (solve_cache_active_) {
+        whole_set_hint_ = true;
+        if (!cache_probed) whole_probe_misses_ = 0;
+      }
+      if (!cache_hit && !active_flows_.empty()) {
+        if (solve_cache_active_ && !cache_probed) {
+          cache_hit = try_cached_whole_solve(result);
         }
-        solved = affected_flows_;
+        if (!cache_hit) {
+          result.solver_rounds +=
+              solver_.solve(ctx, used_links_, link_weight_sum_, active_flows_,
+                            rates_, solver_pool_.get());
+          // Memoize BEFORE quantisation: the quantiser below is a pure
+          // per-flow function, so replaying raw rates through it on a
+          // future hit lands on identical quantised values.
+          if (solve_insert_armed_) solve_cache_insert();
+        }
       }
     } else {
-      // Prune stale used-link entries so the solver only seeds live links.
-      prune_used_links();
-
-      result.solver_rounds += solver_.solve(ctx, used_links_,
-                                            link_weight_sum_, active_flows_,
-                                            rates_);
+      // Per-component ranges. Cache inserts happen inside the commit
+      // phase, still BEFORE quantisation.
+      if (!components_.empty()) parallel_solve(result);
+      solved = affected_flows_;
     }
     if (options_.time_solver) {
       result.solve_seconds +=
@@ -1529,16 +1440,12 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // --- Advance: settle rate-changed flows, refresh finish times --------
     // Only freshly solved flows can have changed rate; untouched components
     // keep both their (positive) rates and their quantised values, exactly
-    // as a full solve-and-requantise would recompute them. The strategy
-    // choice is a pure function of engine state (never of timing or thread
-    // count): kAuto sweeps when this event re-solved at least half the
-    // active set — the heap would be rebuilt wholesale anyway — and
-    // indexes otherwise. Any sweep event leaves the heap stale; the next
-    // indexed event rebuilds it.
-    const bool sweep_event =
-        options_.dispatch_strategy == DispatchStrategy::kEager ||
-        (options_.dispatch_strategy == DispatchStrategy::kAuto &&
-         2 * solved.size() >= active_flows_.size());
+    // as a full solve-and-requantise would recompute them. The event sweeps
+    // when it re-solved at least half the active set — the heap would be
+    // rebuilt wholesale anyway — and indexes otherwise, a pure function of
+    // engine state (never of timing or thread count). Any sweep event
+    // leaves the heap stale; the next indexed event rebuilds it.
+    const bool sweep_event = 2 * solved.size() >= active_flows_.size();
     if (sweep_event) finish_heap_stale_ = true;
     changed_scratch_.clear();
     zero_rate_scratch_.clear();
@@ -1564,10 +1471,10 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       // re-solve. Every recovery outcome leaves the active list (strand,
       // requeue) or re-enters it with a fresh slot (reroute), so slots are
       // freed first; the settled residual rides along because the slot that
-      // held it is gone by the time the policy runs.
-      if (!legacy_strand_order) {
-        std::sort(zero_rate_scratch_.begin(), zero_rate_scratch_.end());
-      }
+      // held it is gone by the time the policy runs. Ascending flow order
+      // makes recovery independent of solve enumeration order (and so of
+      // the component partition and thread count).
+      std::sort(zero_rate_scratch_.begin(), zero_rate_scratch_.end());
       for (const FlowIndex f : zero_rate_scratch_) {
         const std::uint32_t s = active_pos_[f];
         const double left = slots_[s].remaining;
@@ -1715,7 +1622,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         }
       }
     }
-    // Process in ascending flow order — the strategy- and thread-count-
+    // Process in ascending flow order — the path- and thread-count-
     // independent order (the sweep collects in slot order, the heap in
     // finish order; both reduce to the same sequence). Ordering goes
     // through the flow bitmap instead of a sort, which also collapses

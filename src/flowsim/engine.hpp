@@ -89,27 +89,6 @@ enum class AuditLevel : std::uint8_t {
   kPerEvent,  // additionally on_event after every rate solve (full oracles)
 };
 
-/// Event-dispatch kernel of the engine (dt selection and completion
-/// harvesting between rate solves). Every strategy runs the same dispatch
-/// arithmetic — per-flow progress is rebased ("settled") only when a
-/// flow's rate changes, and completions are decided on absolute predicted
-/// finish times — so results are bit-identical across strategies and
-/// thread counts; the strategies differ only in HOW the earliest finish
-/// and the completion batch are found. See DESIGN.md §12.
-enum class DispatchStrategy : std::uint8_t {
-  /// Full finish-time sweep over the active set every event. O(active)
-  /// per event; the reference yardstick the chaos harness pins.
-  kEager,
-  /// Indexed min-heap over predicted finish times with lazy deletion:
-  /// dt selection and completion harvesting cost O(changed log active)
-  /// per event instead of O(active).
-  kIndexed,
-  /// Per-event choice (pure function of engine state, never of timing):
-  /// sweep when this event re-solved at least half the active set — the
-  /// heap would be rebuilt wholesale anyway — and index otherwise.
-  kAuto,
-};
-
 struct EngineOptions {
   /// Completions within (1 + completion_batch_rel) of the earliest finish
   /// are folded into one event. 0 disables batching (exact event order).
@@ -143,37 +122,6 @@ struct EngineOptions {
   /// short-path topologies (the torus on wavefront traffic) beat
   /// longer-path ones when messages are small. 0 = pure bandwidth model.
   double hop_latency_seconds = 0.0;
-  /// Incremental rate re-solve: between events, only links whose occupancy
-  /// changed (flows activated/completed/stranded) are marked dirty; the
-  /// active flow-link incidence is partitioned into connected components
-  /// and FairShareSolver runs only on components touching a dirty link,
-  /// keeping frozen rates for untouched components. Bit-identical to the
-  /// full re-solve (a component's max-min allocation depends only on its
-  /// own flows, links and capacities — see DESIGN.md "Performance model"),
-  /// except SimResult::solver_rounds and the cache-counter fields, which
-  /// count the work actually done.
-  /// Flip off to A/B-check or to reproduce historical solver_rounds counts.
-  bool incremental_solver = true;
-  /// Per-(src,dst) route memoization. Only consulted when adaptive_routing
-  /// is off AND the topology reports routes_are_static() (FaultAwareRouter
-  /// does not, so fault semantics are untouched); otherwise activation
-  /// routes through the topology every time exactly as before. Cached flows
-  /// share one arena-backed path extent, so collectives that repeat the
-  /// same endpoint pair thousands of times route once and copy nothing.
-  bool route_cache = true;
-  /// Memoize whole rate solves. A max-min allocation is a pure function of
-  /// the component content (links, capacities, weight sums, flow paths) —
-  /// it never reads remaining bytes — so phase-structured workloads
-  /// (stencil iterations, collective rounds, repeated sweeps) re-pose
-  /// bit-identical allocation problems over and over. Solved components are
-  /// stored under an exact content key (verified by full comparison, never
-  /// by hash alone) and replayed. Only engaged alongside the incremental
-  /// solver when the route cache is active (shared path extents give flows
-  /// a stable content identity) and all flow weights are 1 (equal-weight
-  /// flows are bit-exactly exchangeable in the solver; weighted ones are
-  /// not). The cache persists across run() calls on the same engine, which
-  /// is what makes repeated-program sweeps (ablations, figure drivers) hit.
-  bool solve_cache = true;
   /// Word budget for the solve cache's content + rate arenas (8 bytes per
   /// word): insertion stops once storing another entry would exceed it, so
   /// this bounds the cache's memory, not its lifetime. The default (8M
@@ -185,22 +133,12 @@ struct EngineOptions {
   std::size_t solve_cache_budget_words = 8u << 20;
   /// Measure wall time spent in rate recomputation (dirty-component
   /// collection + solver) into SimResult::solve_seconds, plus the other
-  /// per-phase timers (route_seconds, dispatch_seconds, audit_seconds).
-  /// Off by default: the clock reads cost more than a small component
-  /// solve.
+  /// per-phase timers (route_seconds, dispatch_seconds and its sub-phases,
+  /// audit_seconds). Off by default: the clock reads cost more than a small
+  /// component solve. The name predates the other timers and is kept
+  /// because perfbench/driver.cpp switches the timers on by probing for
+  /// this field.
   bool time_solver = false;
-  /// Batch-identification kernel for the max-min solver (see
-  /// SolverStrategy in flowsim/maxmin.hpp). Every strategy produces
-  /// bit-identical results; kAuto adapts per solve and is right for
-  /// everything but differential testing.
-  SolverStrategy solver_strategy = SolverStrategy::kAuto;
-  /// Event-dispatch kernel (see DispatchStrategy above). Every strategy
-  /// produces bit-identical results at every thread count — they share one
-  /// dispatch arithmetic and differ only in how the earliest finish time
-  /// and the completion batch are located. kAuto adapts per event and is
-  /// right for everything but differential testing; kEager is the
-  /// reference yardstick the chaos harness pins.
-  DispatchStrategy dispatch_strategy = DispatchStrategy::kAuto;
   /// Worker threads for the per-event rate re-solve. The dirty components
   /// between events are independent max-min problems (they share no links),
   /// so with solver_threads > 1 the engine owns a keep-alive ThreadPool for
@@ -208,14 +146,11 @@ struct EngineOptions {
   /// FairShareSolver scratch, solve-cache lookups are read-only against the
   /// cache state frozen at event start (inserts are committed serially, in
   /// component-discovery order, after the join), and rates land in disjoint
-  /// per-flow slots. Every SimResult field — *including* solver_rounds and
-  /// the cache counters — is therefore bit-identical at every thread count
-  /// > 1. 1 (the default) runs the exact serial code path of the
-  /// incremental solver (whose union-keyed solve cache makes its counters,
-  /// and only its counters, differ from the parallel path); 0 picks
-  /// hardware_concurrency. Requires incremental_solver (the component
-  /// partition is what gets parallelised); ignored without it. See
-  /// DESIGN.md §7 for the determinism argument and the sweep-level
+  /// per-flow slots. 1 (the default) solves the same components inline, in
+  /// discovery order, through the same lookup/commit steps, so every
+  /// SimResult field — *including* solver_rounds and the cache counters —
+  /// is bit-identical at every thread count; 0 picks hardware_concurrency.
+  /// See DESIGN.md §7 for the determinism argument and the sweep-level
   /// oversubscription arbitration.
   std::uint32_t solver_threads = 1;
   /// Recovery for live flows hit by a mid-run fault event, and for
@@ -241,18 +176,18 @@ struct SimResult {
   std::uint64_t num_flows = 0; // data flows executed
   std::uint64_t events = 0;    // completion rounds
   /// Bottleneck-freeze iterations in total. Together with the cache
-  /// counters below, the only SimResult fields that legitimately differ
-  /// between incremental_solver on/off: they count the solver work actually
-  /// performed, and the whole point of the incremental mode is to perform
-  /// less of it.
+  /// counters below, these count the solver work actually performed, not
+  /// physics: a from-scratch re-solve (src/verify/reference_engine.hpp)
+  /// reaches the same rates with more of it. Identical at every
+  /// solver_threads count.
   std::uint64_t solver_rounds = 0;
   /// Flow activations served from / missed by the route cache. Both zero
-  /// whenever the cache is inactive (adaptive routing on, dynamic routes,
-  /// or EngineOptions::route_cache off).
+  /// whenever the cache is inactive (adaptive routing on, or dynamic routes
+  /// such as a FaultAwareRouter's).
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
-  /// Rate solves replayed from / missed by the solve cache (see
-  /// EngineOptions::solve_cache). Both zero when it is inactive.
+  /// Component solves replayed from / missed by the solve cache (see
+  /// "Solve memoization" below). Both zero when it is inactive.
   std::uint64_t solve_cache_hits = 0;
   std::uint64_t solve_cache_misses = 0;
   /// Wall seconds inside rate recomputation (EngineOptions::time_solver).
@@ -447,44 +382,39 @@ class FlowEngine {
     }
   }
   /// Expands the dirty links into the full connected components of the
-  /// active flow-link incidence graph that touch them, filling
-  /// affected_flows_/affected_links_ and consuming the dirty set. Returns
+  /// active flow-link incidence graph that touch them, consuming the dirty
+  /// set. Each seed's component is BFS-exhausted before the next seed
+  /// starts, so components occupy contiguous [begin, end) ranges of
+  /// affected_flows_/affected_links_, recorded in components_. Returns
   /// true when it BAILED instead: the affected set grew past half the
   /// active flows, at which point a whole-set solve is cheaper than
   /// finishing the walk (a superset solve is bit-exact — max-min rates of
   /// a component do not depend on what else is solved alongside). On a
   /// bail the affected arrays are invalid and all marks are cleared.
-  [[nodiscard]] bool collect_dirty_components();
-  /// Partitioned variant for the parallel path: same affected set, but each
-  /// seed's component is BFS-exhausted before the next seed starts, so
-  /// components occupy contiguous [begin, end) ranges of
-  /// affected_flows_/affected_links_, recorded in components_. Same
-  /// half-the-active-flows bail contract as collect_dirty_components().
   [[nodiscard]] bool collect_dirty_components_partitioned();
   /// Drops links whose occupancy hit zero from used_links_, leaving the
   /// canonical whole-set link order every whole-set solve (and solve-cache
   /// key) uses.
   void prune_used_links();
-  /// Solves components_ across the solver pool (inline when there is only
-  /// one), then commits counters and solve-cache inserts in component
-  /// order. Bit-identical to the serial solve at any worker count.
+  /// Solves components_ across the solver pool (inline when there is no
+  /// pool or only one component), then commits counters and solve-cache
+  /// inserts in component order. Bit-identical at any worker count.
   void parallel_solve(SimResult& result);
   /// One component's lookup-or-solve, safe to run concurrently with other
   /// components': touches only rates_ slots of its own flows, its own
   /// component_* slots and the given per-worker solver scratch.
   void solve_component(std::size_t c, FairShareSolver<EngineContext>& solver);
-  /// Looks the given component union up in the solve cache by exact
-  /// content. On a hit writes the memoized rates into rates_ and returns
-  /// true; on a cacheable miss arms solve_cache_insert(). Returns false
-  /// (and stays unarmed) when any affected flow lacks a stable path
-  /// identity (extent not owned by the route cache).
-  [[nodiscard]] bool try_cached_solve(SimResult& result,
-                                      std::span<const LinkId> links,
-                                      std::span<const FlowIndex> flows);
-  /// Stores the just-solved component's canonical content and rates.
-  void solve_cache_insert(std::span<const FlowIndex> flows);
-  /// Serialises (links, flows) into `key` in the given order — the exact
-  /// blob layout of try_cached_solve — and returns its FNV-1a hash.
+  /// Looks the whole active set (used_links_, active_flows_) up in the
+  /// solve cache by exact content. On a hit points whole_hit_slot_rates_ at
+  /// the memoized rates and returns true; on a cacheable miss arms
+  /// solve_cache_insert(). Returns false (and stays unarmed) when any
+  /// active flow lacks a stable path identity (extent not owned by the
+  /// route cache).
+  [[nodiscard]] bool try_cached_whole_solve(SimResult& result);
+  /// Stores the just-solved whole set's content and rates.
+  void solve_cache_insert();
+  /// Serialises (links, flows) into `key` in the given order — the blob
+  /// layout every solve-cache entry uses — and returns its FNV-1a hash.
   std::uint64_t build_solve_key(std::span<const LinkId> links,
                                 std::span<const FlowIndex> flows,
                                 std::vector<std::uint64_t>& key) const;
@@ -531,10 +461,13 @@ class FlowEngine {
   std::vector<std::vector<std::uint32_t>> free_paths_by_length_;
 
   // Route memoization (active only when adaptive routing is off and the
-  // topology's routes are static): (src,dst) -> shared extent in
-  // shared_arena_. Insertion stops at kMaxCachedRoutes so pathological
-  // pair diversity (full-machine uniform traffic) cannot grow the arena
-  // unboundedly; lookups keep working and overflow pairs route normally.
+  // topology's routes are static — FaultAwareRouter's are not, so fault
+  // semantics are untouched): (src,dst) -> shared extent in shared_arena_.
+  // Cached flows share one path extent, so collectives that repeat an
+  // endpoint pair thousands of times route once and copy nothing.
+  // Insertion stops at kMaxCachedRoutes so pathological pair diversity
+  // (full-machine uniform traffic) cannot grow the arena unboundedly;
+  // lookups keep working and overflow pairs route normally.
   // Native routes never depend on link state, so entries stay valid across
   // runs and capacity changes for the engine's lifetime.
   struct RouteCacheEntry {
@@ -619,13 +552,20 @@ class FlowEngine {
   RouteCacheTable route_cache_;
   const bool route_cache_active_;  // pure function of options + topology
 
-  // Solve memoization (EngineOptions::solve_cache). Component content —
-  // (link, capacity, weight-sum) triples plus flow (offset, length)
-  // extents, both in BFS-discovery order (exact without canonicalisation:
-  // see try_cached_solve) — is stored verbatim in solve_key_arena_ and
-  // verified word-for-word on lookup; the hash only picks the bucket, so a
-  // collision can never replay wrong rates. Rates are stored positionally
-  // (blob position i = discovery position i). Insertion stops at
+  // Solve memoization. A max-min allocation is a pure function of the
+  // component content — it never reads remaining bytes — so phase-
+  // structured workloads (stencil iterations, collective rounds, repeated
+  // sweeps) re-pose bit-identical allocation problems over and over. The
+  // content — (link, capacity, weight-sum) triples plus flow (offset,
+  // length) extents, both in BFS-discovery order (exact without
+  // canonicalisation: see build_solve_key) — is stored verbatim in
+  // solve_key_arena_ and verified word-for-word on lookup; the hash only
+  // picks the bucket, so a collision can never replay wrong rates. Rates
+  // are stored positionally (blob position i = discovery position i).
+  // Engaged only when the route cache is active (its shared path extents
+  // give flows a stable identity) and every flow weight is 1 (equal-weight
+  // flows are bit-exactly exchangeable in the solver; weighted ones are
+  // not). Persists across run() calls; insertion stops at
   // EngineOptions::solve_cache_budget_words.
   struct SolveCacheEntry {
     std::uint64_t key_offset;
@@ -650,16 +590,15 @@ class FlowEngine {
   /// work-routing decision: rates are bit-identical either way.
   bool whole_set_hint_ = false;
   std::uint32_t whole_probe_misses_ = 0;
-  /// Set by a whole-set cache hit whose rates will be consumed by this
-  /// event's fused sweep (dispatch strategy is not kIndexed): points at the
-  /// memo blob — slot order — inside solve_rates_arena_, which cannot
-  /// reallocate before the sweep runs (inserts only happen on miss events).
-  /// The replay scatter into rates_ is skipped in that case; the sweep
-  /// writes back only the entries that changed. Cleared every event.
+  /// Set by a whole-set cache hit, whose rates this event's fused sweep
+  /// consumes (a whole-set event always sweeps): points at the memo blob —
+  /// slot order — inside solve_rates_arena_, which cannot reallocate before
+  /// the sweep runs (inserts only happen on miss events). There is no
+  /// replay scatter into rates_; the sweep writes back only the entries
+  /// that changed. Cleared every event.
   const double* whole_hit_slot_rates_ = nullptr;
 
-  // Incremental-solver state (EngineOptions::incremental_solver).
-  bool incremental_ = false;  // resolved per run()
+  // Incremental-solver state.
   std::vector<std::uint8_t> link_dirty_;
   std::vector<LinkId> dirty_links_;
   std::vector<std::uint8_t> link_in_component_;   // scratch, zeroed between
@@ -667,18 +606,18 @@ class FlowEngine {
   std::vector<LinkId> affected_links_;
   std::vector<FlowIndex> affected_flows_;
 
-  // Parallel-solver state (EngineOptions::solver_threads > 1). The pool and
-  // per-worker solver scratch live for the engine's lifetime (keep-alive:
-  // idle workers sleep between events and across run() calls). Component c
-  // of an event owns the c-th slot of each per-component array, so workers
-  // never write a shared slot; its solve-cache decision is recorded here
-  // during the concurrent phase and committed serially after the join.
+  // Component-solve state. The pool and per-worker solver scratch exist
+  // only for solver_threads > 1 and live for the engine's lifetime
+  // (keep-alive: idle workers sleep between events and across run()
+  // calls). Component c of an event owns the c-th slot of each
+  // per-component array, so workers never write a shared slot; its
+  // solve-cache decision is recorded here during the (possibly concurrent)
+  // solve phase and committed serially afterwards.
   enum class ComponentCache : std::uint8_t { kUncacheable, kHit, kMiss };
   struct ComponentRange {
     std::uint32_t flow_begin, flow_end;  // into affected_flows_
     std::uint32_t link_begin, link_end;  // into affected_links_
   };
-  bool parallel_active_ = false;  // resolved per run()
   std::unique_ptr<ThreadPool> solver_pool_;
   std::vector<std::unique_ptr<FairShareSolver<EngineContext>>>
       worker_solvers_;  // one per pool worker (unique_ptr: no false sharing)
@@ -698,9 +637,9 @@ class FlowEngine {
   std::vector<std::uint8_t> link_in_used_;
   /// Links with link_active_count_ > 0 right now. When most of them are
   /// dirty at once (giant completion batches: the mapreduce shuffle), the
-  /// serial incremental path skips the component BFS and solves the whole
-  /// active set directly — same rates (max-min independence both ways),
-  /// fraction of the collection cost.
+  /// solve skips the component BFS and solves the whole active set
+  /// directly — same rates (max-min independence both ways), fraction of
+  /// the collection cost.
   std::uint32_t num_active_links_ = 0;
   std::vector<double> link_bytes_;
 
@@ -725,11 +664,11 @@ class FlowEngine {
   std::vector<double> slot_rate_;
   std::vector<double> slot_finish_;  // absolute predicted finish per slot
   std::vector<std::uint32_t> active_pos_;  // flow -> slot (valid iff active)
-  /// Min-heap over predicted finish times (kIndexed; ties break by flow
-  /// index) with lazy deletion: an entry is live iff its flow is active AND
-  /// its finish bits equal the flow's current slot_finish_. Any sweep event
-  /// leaves it stale (the sweep does not maintain it); the next indexed
-  /// event rebuilds. Never allocated while kAuto stays in sweep mode.
+  /// Min-heap over predicted finish times (indexed events; ties break by
+  /// flow index) with lazy deletion: an entry is live iff its flow is
+  /// active AND its finish bits equal the flow's current slot_finish_. Any
+  /// sweep event leaves it stale (the sweep does not maintain it); the next
+  /// indexed event rebuilds. Never allocated while every event sweeps.
   struct FinishEntry {
     double finish;
     FlowIndex flow;
@@ -803,7 +742,7 @@ class FlowEngine {
   /// order (a whole-set solve-cache hit's memo blob) and the sweep streams
   /// it instead of gathering rates_[f]; rates_ writebacks then happen only
   /// for flows whose rate actually changed (the unchanged entries already
-  /// hold these exact bits — see try_cached_solve).
+  /// hold these exact bits — see try_cached_whole_solve).
   [[nodiscard]] double advance_flows_whole(double now,
                                            std::vector<FlowIndex>& zero_out,
                                            const double* slot_rates);

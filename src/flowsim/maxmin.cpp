@@ -97,11 +97,6 @@ std::vector<double> maxmin_fair_rates(
   ReferenceContext ctx{link_capacities, &flow_paths, link_offsets,
                        link_flow_arena, flow_weights};
   FairShareSolver<ReferenceContext> solver;
-  // The reference entry point is the differential yardstick for every other
-  // configuration (engine strategies, the chaos harness, the property
-  // tests), so it always runs the PR-6 heap kernel rather than inheriting
-  // whatever default the scan/auto work settles on.
-  solver.set_strategy(SolverStrategy::kHeap);
   solver.resize(num_links, num_flows);
   std::vector<double> rates(num_flows, 0.0);
   solver.solve(ctx, used, weight_sums, active, rates);

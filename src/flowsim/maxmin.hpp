@@ -22,44 +22,39 @@
 // component in isolation and get bit-identical rates to a whole-network
 // solve (see engine.cpp).
 //
-// Two interchangeable kernels identify each round's batch (SolverStrategy):
+// One kernel identifies each round's batch, with a data-structure switch
+// for adversarial instances:
 //
-//   kHeap — lazy-revalidation min-heap keyed by stale lower-bound shares
-//   (shares only grow, so any previously computed share lower-bounds the
-//   fresh one): pop a link, recompute its fresh share, freeze if it is
-//   <= the next key (which lower-bounds every other fresh share) else
-//   re-push. Ties are harvested by draining keys <= the leader's share:
-//   every tied link's keys are <= its fresh share == the leader's share,
-//   so the drain pops each at least once; non-tied links re-enter with
-//   their fresh (> leader) key. O(P + U log U) heap traffic. This is the
-//   PR-6 algorithm, operation for operation, and the reference yardstick.
+//   Scan — struct-of-arrays saturation scan: residuals and unfrozen weight
+//   sums live in two contiguous slot arrays (compacted over the live links
+//   of this solve, not indexed by global link id), and each round sweeps
+//   them once computing every live fresh share (one division, see the
+//   residual-clamp invariant below), takes the minimum, then harvests
+//   bitwise ties in a second sweep that recomputes the same quotients.
+//   Dead slots (weight drained below epsilon) are compacted out in place
+//   during the sweep. O(U) per round with streaming access — cheap when
+//   rounds are few and batches are huge (symmetric workloads: the mapreduce
+//   shuffle, nearest-neighbour exchanges at scale).
 //
-//   kScan — struct-of-arrays saturation scan: residuals and unfrozen
-//   weight sums live in two contiguous slot arrays (compacted over the
-//   live links of this solve, not indexed by global link id), and each
-//   round sweeps them once computing every live fresh share (one division,
-//   see the residual-clamp invariant below), takes the minimum, then
-//   harvests bitwise ties in a second sweep that recomputes the same
-//   quotients. Dead slots (weight drained below epsilon) are compacted out
-//   in place during the sweep. O(U) per round with streaming access — far
-//   cheaper than heap churn when rounds are few and batches are huge
-//   (symmetric workloads: the mapreduce shuffle, nearest-neighbour
-//   exchanges at scale), far worse when an adversarial instance needs
-//   O(U) singleton rounds.
+//   Heap fallback — once the cumulative scan work exceeds a small multiple
+//   of the initial live-slot count (an instance needing O(U) singleton
+//   rounds), the solve builds a lazy-revalidation min-heap keyed by the
+//   current fresh shares and finishes on it. Shares only grow, so any
+//   previously computed share lower-bounds the fresh one: pop a link,
+//   recompute its fresh share, freeze if it is <= the next key (which
+//   lower-bounds every other fresh share) else re-push. Ties are harvested
+//   by draining keys <= the leader's share: every tied link's keys are <=
+//   its fresh share == the leader's share, so the drain pops each at least
+//   once; non-tied links re-enter with their fresh (> leader) key. This is
+//   the PR-6 algorithm, operation for operation.
 //
-//   kAuto (default) — starts scanning, counts slots swept, and builds the
-//   heap mid-solve once the cumulative scan work exceeds a small multiple
-//   of the initial live-slot count. The switch is exact: current fresh
-//   shares are valid heap lower bounds by monotonicity.
-//
-// Both kernels produce the identical (share, id) minimum each round — the
-// heap's freeze certificate selects exactly the lexicographic minimum
-// fresh pair, the scan computes it directly, and the tie harvest in both
-// collects exactly the set of live links whose fresh share equals it — so
-// rates, rounds, and every downstream bit are identical regardless of
-// strategy. tests/test_maxmin_properties.cpp pins this (including against
-// a verbatim copy of the PR-6 solver), and the chaos harness samples the
-// strategy knob across its differential matrix.
+// Both produce the identical (share, id) minimum each round — the heap's
+// freeze certificate selects exactly the lexicographic minimum fresh pair,
+// the scan computes it directly, and the tie harvest in both collects
+// exactly the set of live links whose fresh share equals it — so the
+// switch point never changes a rate or a round count.
+// tests/test_maxmin_properties.cpp pins this against a verbatim copy of
+// the PR-6 solver, including a staircase instance that crosses the switch.
 //
 // Residual-clamp invariant: the PR-6 solver stored each link's raw
 // residual and computed shares as max(residual, capacity*1e-12)/weight —
@@ -145,23 +140,9 @@
 
 namespace nestflow {
 
-/// How the solver locates each round's minimum-share batch. Every strategy
-/// produces bit-identical rates and round counts (see the header comment);
-/// the knob exists for differential testing and as an escape hatch.
-enum class SolverStrategy : std::uint8_t {
-  kAuto,  ///< scan first, fall back to the heap if rounds pile up (default)
-  kHeap,  ///< lazy-revalidation heap: the PR-6 reference kernel
-  kScan,  ///< SoA saturation scan every round, no fallback
-};
-
 template <typename Ctx>
 class FairShareSolver {
  public:
-  void set_strategy(SolverStrategy strategy) noexcept {
-    strategy_ = strategy;
-  }
-  [[nodiscard]] SolverStrategy strategy() const noexcept { return strategy_; }
-
   /// Scratch arrays are carved from one arena block on first use (or when
   /// the shape grows) and reused across solves — the steady path performs
   /// no allocation.
@@ -206,9 +187,7 @@ class FairShareSolver {
     for (const FlowIndex f : active_flows) frozen_[f] = 0;
     std::size_t live_flows = active_flows.size();
 
-    // Gather the live links of this solve into compact SoA slots. The slot
-    // order is the used_links order, so a heap built over slots pushes the
-    // exact entry sequence the PR-6 solver pushed over used_links.
+    // Gather the live links of this solve into compact SoA slots.
     std::uint32_t nslots = 0;
     bool dust_free = true;  // no link weight in (0, epsilon]: broadcast-safe
     for (const LinkId l : used_links) {
@@ -226,18 +205,9 @@ class FairShareSolver {
     nslots_ = nslots;
     live_slots_ = nslots;
 
-    bool use_heap = strategy_ == SolverStrategy::kHeap;
-    heap_.clear();
-    if (use_heap) {
-      // Initial keys are the unfloored capacity/weight quotients, exactly
-      // as the PR-6 solver seeded its heap (valid lower bounds either way).
-      for (std::uint32_t s = 0; s < nslots; ++s) {
-        heap_.push_back(Entry{slot_residual_[s] / slot_weight_[s],
-                              slot_link_[s]});
-      }
-      std::make_heap(heap_.begin(), heap_.end());
-    }
-    // kAuto switches to the heap once cumulative sweep work exceeds this.
+    bool use_heap = false;
+    // The scan hands over to the heap once cumulative sweep work exceeds
+    // this.
     const std::uint64_t scan_budget =
         std::uint64_t{kScanOpsFactor} * nslots + 4096;
     std::uint64_t scan_ops = 0;
@@ -267,7 +237,6 @@ class FairShareSolver {
         // function. No deltas would survive (every path link is in the
         // batch), so nothing downstream can observe the shortcut.
         broadcast_rates(ctx, active_flows, share, rates, pool);
-        for (const LinkId bl : batch_) in_batch_[bl] = 0;  // heap-mode marks
         return rounds;
       }
       first_round = false;
@@ -347,8 +316,7 @@ class FairShareSolver {
         in_batch_[bl] = 0;
       }
 
-      if (!use_heap && strategy_ == SolverStrategy::kAuto &&
-          scan_ops > scan_budget) {
+      if (!use_heap && scan_ops > scan_budget) {
         // Too many sweep rounds for this instance: build the heap from the
         // current fresh shares (valid lower bounds — shares only grow) and
         // finish with lazy revalidation. Batch selection stays identical;
@@ -381,8 +349,8 @@ class FairShareSolver {
   /// is skipped — per-solve resets make that unobservable).
   static constexpr std::uint8_t kFrozenOld = 1;
   static constexpr std::uint8_t kFrozenNew = 2;
-  /// kAuto switches scan -> heap after sweeping ~this many multiples of
-  /// the initial live-slot count.
+  /// The solve switches scan -> heap after sweeping ~this many multiples
+  /// of the initial live-slot count.
   static constexpr std::uint32_t kScanOpsFactor = 8;
   /// Minimum slots (or flows) per shard before pool fan-out pays for its
   /// barrier; below 2x this, scans stay serial even with a pool.
@@ -542,7 +510,7 @@ class FairShareSolver {
     return false;
   }
 
-  /// Seeds the heap from the current live slots' fresh shares (the kAuto
+  /// Seeds the heap from the current live slots' fresh shares (the
   /// mid-solve switch). Fresh shares are exact current values, trivially
   /// valid lower bounds for all future rounds.
   void build_heap_from_slots() {
@@ -591,8 +559,6 @@ class FairShareSolver {
     });
   }
 
-  SolverStrategy strategy_ = SolverStrategy::kAuto;
-
   // All fixed-shape scratch is carved from one arena block (see resize()).
   // Slot arrays are compact over the live links of the CURRENT solve;
   // link_slot_, delta_, in_batch_ are indexed by global link id; frozen_
@@ -617,11 +583,11 @@ class FairShareSolver {
   std::vector<std::vector<LinkId>> shard_batches_;
 };
 
-/// Reference entry point: max-min rates for explicit paths over explicit
-/// capacities (all weights 1). Exercised directly by unit/property tests;
-/// the engine uses the same template with its incremental context. Always
-/// solves with SolverStrategy::kHeap — the PR-6 reference kernel — so the
-/// scan/auto kernels are always differentially pinned against it.
+/// Standalone entry point: max-min rates for explicit paths over explicit
+/// capacities (all weights 1). Exercised directly by unit/property tests
+/// and re-solved from scratch every event by the ReferenceEngine
+/// (src/verify/); the engine uses the same template with its incremental
+/// context. Each link's flows are enumerated in flow_paths order.
 [[nodiscard]] std::vector<double> maxmin_fair_rates(
     std::span<const double> link_capacities,
     const std::vector<std::vector<LinkId>>& flow_paths);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "flowsim/engine.hpp"
 #include "util/prng.hpp"
 
 namespace nestflow {
@@ -92,21 +91,6 @@ void FaultModel::degrade_cable(LinkId link, double factor) {
   degrade_factor_[link] = factor;
   const LinkId reverse = graph_->link(link).reverse;
   if (reverse != kInvalidLink) degrade_factor_[reverse] = factor;
-}
-
-void FaultModel::apply(FlowEngine& engine) const {
-  for (LinkId l = 0; l < graph_->num_transit_links(); ++l) {
-    if (link_alive_[l] == 0) {
-      engine.set_capacity_factor(l, 0.0);
-    } else if (degrade_factor_[l] != 1.0) {
-      engine.set_capacity_factor(l, degrade_factor_[l]);
-    }
-  }
-  for (NodeId n = 0; n < graph_->num_endpoints(); ++n) {
-    if (node_alive_[n] != 0) continue;
-    engine.set_capacity_factor(graph_->injection_link(n), 0.0);
-    engine.set_capacity_factor(graph_->consumption_link(n), 0.0);
-  }
 }
 
 FaultModel FaultModel::random_cable_faults(const Graph& graph,

@@ -6,7 +6,7 @@
 //
 //   * FaultAwareRouter consults it to route around faults and to classify
 //     endpoint pairs as reachable or stranded (see fault_router.hpp);
-//   * apply(FlowEngine&) pushes the same scenario into the engine's link
+//   * apply(engine) pushes the same scenario into the engine's link
 //     capacities (dead = factor 0, degraded = the given factor) so rate
 //     allocation matches the routing view.
 //
@@ -34,8 +34,6 @@
 #include "graph/graph.hpp"
 
 namespace nestflow {
-
-class FlowEngine;
 
 class FaultModel {
  public:
@@ -115,11 +113,27 @@ class FaultModel {
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
-  /// Pushes the scenario into an engine built over the same topology:
-  /// capacity factor 0 for dead transit links and for the NIC links of dead
-  /// endpoints, the degradation factor for degraded links. Call after
-  /// reset_capacity_factors() when reusing an engine across scenarios.
-  void apply(FlowEngine& engine) const;
+  /// Pushes the scenario into an engine built over the same topology (a
+  /// FlowEngine, or anything else with its set_capacity_factor, such as the
+  /// ReferenceEngine in src/verify/): capacity factor 0 for dead transit
+  /// links and for the NIC links of dead endpoints, the degradation factor
+  /// for degraded links. Call after reset_capacity_factors() when reusing
+  /// an engine across scenarios.
+  template <typename Engine>
+  void apply(Engine& engine) const {
+    for (LinkId l = 0; l < graph_->num_transit_links(); ++l) {
+      if (link_alive_[l] == 0) {
+        engine.set_capacity_factor(l, 0.0);
+      } else if (degrade_factor_[l] != 1.0) {
+        engine.set_capacity_factor(l, degrade_factor_[l]);
+      }
+    }
+    for (NodeId n = 0; n < graph_->num_endpoints(); ++n) {
+      if (node_alive_[n] != 0) continue;
+      engine.set_capacity_factor(graph_->injection_link(n), 0.0);
+      engine.set_capacity_factor(graph_->consumption_link(n), 0.0);
+    }
+  }
 
   /// Seeded scenario: kills floor(kill_fraction * cables) random transit
   /// cables (at least one when kill_fraction > 0 and cables exist).

@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "resilience/fault_model.hpp"
@@ -15,6 +16,7 @@
 #include "topo/factory.hpp"
 #include "util/prng.hpp"
 #include "verify/invariant_auditor.hpp"
+#include "verify/reference_engine.hpp"
 #include "workloads/factory.hpp"
 
 namespace nestflow::verify {
@@ -88,40 +90,6 @@ constexpr std::array<RecoveryPolicy, 3> kPolicies{
     case ChaosFaultMode::kPoisson: return "poisson";
   }
   return "?";
-}
-
-[[nodiscard]] const char* strategy_name(SolverStrategy strategy) {
-  switch (strategy) {
-    case SolverStrategy::kAuto: return "auto";
-    case SolverStrategy::kHeap: return "heap";
-    case SolverStrategy::kScan: return "scan";
-  }
-  return "?";
-}
-
-[[nodiscard]] SolverStrategy parse_strategy(std::string_view text) {
-  if (text == "auto") return SolverStrategy::kAuto;
-  if (text == "heap") return SolverStrategy::kHeap;
-  if (text == "scan") return SolverStrategy::kScan;
-  throw std::invalid_argument("chaos config: unknown solver strategy '" +
-                              std::string(text) + "'");
-}
-
-[[nodiscard]] const char* dispatch_name(DispatchStrategy strategy) {
-  switch (strategy) {
-    case DispatchStrategy::kAuto: return "auto";
-    case DispatchStrategy::kEager: return "eager";
-    case DispatchStrategy::kIndexed: return "indexed";
-  }
-  return "?";
-}
-
-[[nodiscard]] DispatchStrategy parse_dispatch(std::string_view text) {
-  if (text == "auto") return DispatchStrategy::kAuto;
-  if (text == "eager") return DispatchStrategy::kEager;
-  if (text == "indexed") return DispatchStrategy::kIndexed;
-  throw std::invalid_argument("chaos config: unknown dispatch strategy '" +
-                              std::string(text) + "'");
 }
 
 [[nodiscard]] ChaosFaultMode parse_fault_mode(std::string_view text) {
@@ -219,7 +187,9 @@ void apply_picks(FaultModel& model, const FaultPicks& picks) {
 
 enum class RunKind { kPreApplied, kTimelineT0, kPoisson };
 
-/// One fully-audited engine run of the configured trial.
+/// One engine run of the configured trial; FlowEngine runs are audited
+/// per event.
+template <typename Engine>
 [[nodiscard]] SimResult run_trial(const ChaosConfig& config,
                                   const Topology& inner,
                                   const TrafficProgram& program,
@@ -238,13 +208,15 @@ enum class RunKind { kPreApplied, kTimelineT0, kPoisson };
     routed = router.get();
   }
 
-  FlowEngine engine(*routed, options);
+  Engine engine(*routed, options);
   InvariantAuditor auditor(AuditorOptions{
       .capacity_tamper_factor = config.capacity_tamper_factor});
-  if (pre_applied && config.fault_mode != ChaosFaultMode::kNone) {
-    auditor.set_fault_reference(&model);
+  if constexpr (std::is_same_v<Engine, FlowEngine>) {
+    if (pre_applied && config.fault_mode != ChaosFaultMode::kNone) {
+      auditor.set_fault_reference(&model);
+    }
+    engine.set_auditor(&auditor);
   }
-  engine.set_auditor(&auditor);
 
   if (pre_applied) {
     if (config.fault_mode != ChaosFaultMode::kNone) model.apply(engine);
@@ -280,39 +252,33 @@ void compare_u64(const char* what, const char* field, std::uint64_t a,
   }
 }
 
-void compare_f64(const char* what, const char* field, double a, double b,
-                 bool exact) {
-  const bool same =
-      exact ? a == b
-            : std::abs(a - b) <=
-                  1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
-  if (!same) {
+void compare_f64(const char* what, const char* field, double a, double b) {
+  if (a != b) {
     throw std::runtime_error(std::string("differential [") + what + "] " +
                              field + ": " + fmt_double(a) + " vs " +
                              fmt_double(b));
   }
 }
 
-/// Every SimResult field must agree except the effort counters
-/// (solver_rounds, cache hits/misses, solve_seconds), which measure work
-/// done rather than simulated physics. `exact` = bit-identity on doubles;
-/// off for the t0-timeline differential, where the documented
-/// strand-enumeration order difference perturbs FP sums in the last bits.
+/// Every SimResult field must agree bit for bit except the effort counters
+/// (solver_rounds, cache hits/misses, phase timers), which measure work
+/// done rather than simulated physics. fault_events_applied is compared
+/// only when both runs deliver faults the same way.
 void compare_results(const char* what, const SimResult& a, const SimResult& b,
-                     bool exact) {
-  compare_f64(what, "makespan", a.makespan, b.makespan, exact);
-  compare_f64(what, "total_bytes", a.total_bytes, b.total_bytes, exact);
+                     bool compare_fault_events) {
+  compare_f64(what, "makespan", a.makespan, b.makespan);
+  compare_f64(what, "total_bytes", a.total_bytes, b.total_bytes);
   compare_u64(what, "num_flows", a.num_flows, b.num_flows);
   compare_u64(what, "events", a.events, b.events);
   compare_f64(what, "max_link_utilization", a.max_link_utilization,
-              b.max_link_utilization, exact);
+              b.max_link_utilization);
   compare_f64(what, "avg_active_flows", a.avg_active_flows,
-              b.avg_active_flows, exact);
+              b.avg_active_flows);
   compare_u64(what, "peak_active_flows", a.peak_active_flows,
               b.peak_active_flows);
   for (std::size_t c = 0; c < a.bytes_by_class.size(); ++c) {
     compare_f64(what, "bytes_by_class", a.bytes_by_class[c],
-                b.bytes_by_class[c], exact);
+                b.bytes_by_class[c]);
   }
   compare_u64(what, "stranded_flows", a.stranded_flows, b.stranded_flows);
   compare_u64(what, "cancelled_flows", a.cancelled_flows, b.cancelled_flows);
@@ -320,23 +286,21 @@ void compare_results(const char* what, const SimResult& a, const SimResult& b,
   compare_u64(what, "reroute_extra_hops",
               static_cast<std::uint64_t>(a.reroute_extra_hops),
               static_cast<std::uint64_t>(b.reroute_extra_hops));
-  if (exact) {
-    // A pre-applied static scenario reports 0 applied events while its
-    // t0-timeline twin reports one per fault — skip in that differential.
+  if (compare_fault_events) {
     compare_u64(what, "fault_events_applied", a.fault_events_applied,
                 b.fault_events_applied);
   }
   compare_u64(what, "recovered_flows", a.recovered_flows, b.recovered_flows);
   compare_u64(what, "flow_retries", a.flow_retries, b.flow_retries);
   compare_f64(what, "undelivered_bytes", a.undelivered_bytes,
-              b.undelivered_bytes, exact);
+              b.undelivered_bytes);
   compare_u64(what, "flow_finish_times.size", a.flow_finish_times.size(),
               b.flow_finish_times.size());
   for (std::size_t f = 0; f < a.flow_finish_times.size(); ++f) {
     const double ta = a.flow_finish_times[f];
     const double tb = b.flow_finish_times[f];
     if (std::isnan(ta) && std::isnan(tb)) continue;
-    compare_f64(what, "flow_finish_times", ta, tb, exact);
+    compare_f64(what, "flow_finish_times", ta, tb);
   }
 }
 
@@ -366,11 +330,15 @@ ChaosConfig make_chaos_config(std::uint64_t seed) {
       std::array{0.0, 1e-6, 1e-3}[rng.next_below(3)];
   config.hop_latency_seconds = rng.next_bool(0.3) ? 1e-7 : 0.0;
   config.adaptive_routing = rng.next_bool(0.5);
-  config.incremental_solver = rng.next_bool(0.75);
-  config.route_cache = rng.next_bool(0.75);
-  config.solve_cache = rng.next_bool(0.75);
+  // Three retired engine switches (incremental solver, route cache, solve
+  // cache) drew here. Their draws are kept, the first still gating the
+  // thread-count draw, so every seed keeps its historical config on all
+  // remaining axes.
+  const bool draw_threads = rng.next_bool(0.75);
+  (void)rng.next_bool(0.75);
+  (void)rng.next_bool(0.75);
   config.solver_threads =
-      config.incremental_solver
+      draw_threads
           ? static_cast<std::uint32_t>(std::array{1, 2, 4, 8}[rng.next_below(4)])
           : 1u;
   config.retry_backoff_seconds = rng.next_bool(0.5) ? 1e-4 : 0.0;
@@ -401,19 +369,6 @@ ChaosConfig make_chaos_config(std::uint64_t seed) {
       std::min<std::uint32_t>(topology->num_endpoints(), 64));
   if (tasks > 8 && rng.next_bool(0.3)) tasks /= 2;
   config.tasks = tasks;
-
-  // Sampled LAST so every draw above sees the exact Prng stream it saw
-  // before this knob existed: old seeds keep their configs, and the new
-  // axis rides on top of the established matrix.
-  config.solver_strategy =
-      std::array{SolverStrategy::kAuto, SolverStrategy::kHeap,
-                 SolverStrategy::kScan}[rng.next_below(3)];
-  // Same discipline for the dispatch axis, added after solver_strategy:
-  // drawn last-of-all so every earlier knob still sees its historical
-  // Prng stream.
-  config.dispatch_strategy =
-      std::array{DispatchStrategy::kAuto, DispatchStrategy::kEager,
-                 DispatchStrategy::kIndexed}[rng.next_below(3)];
   return config;
 }
 
@@ -435,12 +390,7 @@ std::string to_config_string(const ChaosConfig& config) {
   add("batch", fmt_double(config.completion_batch_rel));
   add("hoplat", fmt_double(config.hop_latency_seconds));
   add("adaptive", config.adaptive_routing ? "1" : "0");
-  add("incremental", config.incremental_solver ? "1" : "0");
-  add("routecache", config.route_cache ? "1" : "0");
-  add("solvecache", config.solve_cache ? "1" : "0");
   add("threads", std::to_string(config.solver_threads));
-  add("strategy", strategy_name(config.solver_strategy));
-  add("dispatch", dispatch_name(config.dispatch_strategy));
   add("policy", policy_name(config.recovery_policy));
   add("backoff", fmt_double(config.retry_backoff_seconds));
   add("times", config.record_flow_times ? "1" : "0");
@@ -482,18 +432,16 @@ ChaosConfig parse_config_string(const std::string& text) {
       config.hop_latency_seconds = parse_f64(key, value);
     else if (key == "adaptive")
       config.adaptive_routing = parse_bool(key, value);
-    else if (key == "incremental")
-      config.incremental_solver = parse_bool(key, value);
-    else if (key == "routecache") config.route_cache = parse_bool(key, value);
-    else if (key == "solvecache") config.solve_cache = parse_bool(key, value);
     else if (key == "threads")
       config.solver_threads = static_cast<std::uint32_t>(parse_u64(key, value));
-    // Absent "strategy" keys (reproducers predating the knob) keep the
-    // default kAuto — absence is tolerated, only bad values throw.
-    else if (key == "strategy")
-      config.solver_strategy = parse_strategy(value);
-    else if (key == "dispatch")
-      config.dispatch_strategy = parse_dispatch(value);
+    else if (key == "incremental" || key == "routecache" ||
+             key == "solvecache" || key == "strategy" || key == "dispatch")
+      // Knobs of engine paths that no longer exist: a reproducer carrying
+      // one predates the single-path engine and cannot replay as written.
+      throw std::invalid_argument(
+          "chaos config: key '" + std::string(key) +
+          "' is retired (FlowEngine has one solve and dispatch path); drop "
+          "it to replay against the reference engine");
     else if (key == "policy") config.recovery_policy = parse_policy(value);
     else if (key == "backoff")
       config.retry_backoff_seconds = parse_f64(key, value);
@@ -561,43 +509,32 @@ void run_chaos(const ChaosConfig& config) {
                                ? RunKind::kPoisson
                                : RunKind::kPreApplied;
 
-  // Reference: the naive solver path, fully audited, always on the PR-6
-  // heap kernel — the yardstick every sampled strategy is pinned against.
-  EngineOptions reference_options = physics_options(config);
-  reference_options.incremental_solver = false;
-  reference_options.route_cache = false;
-  reference_options.solve_cache = false;
-  reference_options.solver_threads = 1;
-  reference_options.solver_strategy = SolverStrategy::kHeap;
-  reference_options.dispatch_strategy = DispatchStrategy::kEager;
-  const SimResult reference = run_trial(config, *topology, program, picks,
-                                        reference_options, run_kind,
-                                        poisson_horizon);
+  // Reference: the from-scratch engine, sharing none of FlowEngine's
+  // incremental machinery.
+  const EngineOptions options = physics_options(config);
+  const SimResult reference = run_trial<ReferenceEngine>(
+      config, *topology, program, picks, options, run_kind, poisson_horizon);
 
-  // Variant: the sampled incremental/cache/thread configuration. Same
-  // physics, so everything but the effort counters must be bit-identical.
-  EngineOptions variant_options = physics_options(config);
-  variant_options.incremental_solver = config.incremental_solver;
-  variant_options.route_cache = config.route_cache;
-  variant_options.solve_cache = config.solve_cache;
-  variant_options.solver_threads =
-      config.incremental_solver ? config.solver_threads : 1;
-  variant_options.solver_strategy = config.solver_strategy;
-  variant_options.dispatch_strategy = config.dispatch_strategy;
-  const SimResult variant = run_trial(config, *topology, program, picks,
-                                      variant_options, run_kind,
-                                      poisson_horizon);
+  // Variant: FlowEngine at the sampled thread count, audited per event.
+  // Same physics, so everything but the effort counters must be
+  // bit-identical.
+  EngineOptions variant_options = options;
+  variant_options.solver_threads = config.solver_threads;
+  const SimResult variant = run_trial<FlowEngine>(
+      config, *topology, program, picks, variant_options, run_kind,
+      poisson_horizon);
   compare_results("reference-vs-variant", reference, variant,
-                  /*exact=*/true);
+                  /*compare_fault_events=*/true);
 
   // Static faults delivered as t = 0 timeline events must tell the same
-  // story (counts exactly; byte sums within FP strand-order noise).
+  // story bit for bit; only the applied-event count differs (a pre-applied
+  // scenario reports none).
   if (config.fault_mode == ChaosFaultMode::kStatic) {
-    const SimResult timeline =
-        run_trial(config, *topology, program, picks, variant_options,
-                  RunKind::kTimelineT0, 0.0);
+    const SimResult timeline = run_trial<FlowEngine>(
+        config, *topology, program, picks, variant_options,
+        RunKind::kTimelineT0, 0.0);
     compare_results("static-vs-t0-timeline", variant, timeline,
-                    /*exact=*/false);
+                    /*compare_fault_events=*/false);
   }
 }
 
@@ -634,18 +571,6 @@ ChaosConfig shrink_config(const ChaosConfig& config) {
       [](ChaosConfig& c) { c.adaptive_routing = false; },
       [](ChaosConfig& c) { c.retry_backoff_seconds = 0.0; },
       [](ChaosConfig& c) { c.solver_threads = 1; },
-      // Forcing the reference kernel exonerates (or indicts) the scan/auto
-      // paths: if the failure survives on kHeap, the new kernel is not it.
-      [](ChaosConfig& c) { c.solver_strategy = SolverStrategy::kHeap; },
-      // Same idea for dispatch: a failure that survives on the eager sweep
-      // clears the indexed/auto dispatch kernels.
-      [](ChaosConfig& c) { c.dispatch_strategy = DispatchStrategy::kEager; },
-      [](ChaosConfig& c) { c.solve_cache = false; },
-      [](ChaosConfig& c) { c.route_cache = false; },
-      [](ChaosConfig& c) {
-        c.incremental_solver = false;
-        c.solver_threads = 1;
-      },
       [](ChaosConfig& c) {
         if (c.tasks >= 8) c.tasks /= 2;
       },

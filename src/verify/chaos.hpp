@@ -11,19 +11,19 @@
 //
 // run_chaos executes the trial:
 //
-//   1. a *reference* run — naive solver (no incremental re-solve, no
-//      caches, one thread) with the InvariantAuditor attached at
-//      per-event level;
-//   2. a *variant* run — the sampled incremental/cache/thread
-//      configuration, same auditing — whose SimResult must be bit-identical
-//      to the reference except for the work counters (solver_rounds, cache
-//      hits/misses, solve_seconds) that measure effort rather than
-//      physics;
-//   3. for static fault scenarios, a third run delivering the same faults
-//      as t = 0 timeline events, which must agree exactly on every count
-//      and within 1e-9 relative on byte totals (the engine strands flows
-//      in a different, documented order there, so FP sums of undelivered
-//      bytes may differ in the last bits).
+//   1. a *reference* run on the ReferenceEngine (reference_engine.hpp):
+//      from-scratch routing and max-min re-solve every event, sharing none
+//      of FlowEngine's incremental solve, caches, dispatch kernel or
+//      sharding;
+//   2. a *variant* run — FlowEngine at the sampled solver thread count with
+//      the InvariantAuditor attached at per-event level — whose SimResult
+//      must be bit-identical to the reference except for the work counters
+//      (solver_rounds, cache hits/misses, phase timers) that measure effort
+//      rather than physics;
+//   3. for static fault scenarios, a third FlowEngine run delivering the
+//      same faults as t = 0 timeline events, which must agree bit for bit
+//      on every field but fault_events_applied (a pre-applied scenario
+//      reports none).
 //
 // Any violation throws; run_chaos_failure wraps that into a string so the
 // fuzzer loop and the shrinker can treat "fails" as a predicate. Configs
@@ -54,26 +54,13 @@ struct ChaosConfig {
   std::uint64_t workload_seed = 1;
   bool weighted = false;  // assign random flow weights in {1..4}
 
-  // Engine options of the variant run (the reference run forces the naive
-  // solver path: incremental off, caches off, one thread).
+  // Engine options shared by both runs; solver_threads applies to the
+  // variant (the reference engine is single-threaded).
   double rate_quantum_rel = 0.0;
   double completion_batch_rel = 0.0;
   double hop_latency_seconds = 0.0;
   bool adaptive_routing = false;
-  bool incremental_solver = true;
-  bool route_cache = true;
-  bool solve_cache = true;
   std::uint32_t solver_threads = 1;
-  /// Water-filling kernel of the variant run. The reference run always
-  /// forces SolverStrategy::kHeap (the PR-6 yardstick kernel), so sampling
-  /// this knob differentially pins the scan/auto kernels against it across
-  /// the whole coverage matrix.
-  SolverStrategy solver_strategy = SolverStrategy::kAuto;
-  /// Event-dispatch kernel of the variant run. The reference run always
-  /// forces DispatchStrategy::kEager (the full-sweep yardstick), so
-  /// sampling this knob differentially pins the indexed/auto dispatch
-  /// kernels against it across the whole coverage matrix.
-  DispatchStrategy dispatch_strategy = DispatchStrategy::kAuto;
   RecoveryPolicy recovery_policy = RecoveryPolicy::kStrand;
   double retry_backoff_seconds = 0.0;
   bool record_flow_times = false;
@@ -95,7 +82,9 @@ struct ChaosConfig {
 
 /// One-line `key=value;...` serialisation; round-trips via parse.
 [[nodiscard]] std::string to_config_string(const ChaosConfig& config);
-/// Inverse of to_config_string. Throws std::invalid_argument on bad input.
+/// Inverse of to_config_string. Throws std::invalid_argument on bad input,
+/// including the retired keys of engine knobs that no longer exist
+/// (incremental, routecache, solvecache, strategy, dispatch).
 [[nodiscard]] ChaosConfig parse_config_string(const std::string& text);
 
 /// The single line a failing trial prints: paste it back to reproduce.

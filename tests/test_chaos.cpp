@@ -61,6 +61,23 @@ TEST(Chaos, ParseRejectsMalformedConfigStrings) {
                std::invalid_argument);
 }
 
+TEST(Chaos, ParseRejectsRetiredEngineKnobs) {
+  // Keys of engine switches that no longer exist must fail loudly and say
+  // why, not read as typos.
+  for (const std::string key :
+       {"incremental", "routecache", "solvecache", "strategy", "dispatch"}) {
+    try {
+      (void)verify::parse_config_string("seed=1;" + key + "=1");
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("'" + key + "'"), std::string::npos) << message;
+      EXPECT_NE(message.find("retired"), std::string::npos) << message;
+      EXPECT_EQ(message.find("unknown"), std::string::npos) << message;
+    }
+  }
+}
+
 TEST(Chaos, SmokeRunPassesOnSeedRange) {
   // A bounded slice of the matrix for the unit suite; scripts/check_chaos.sh
   // runs the full 231-seed matrix (and more) under ASan/UBSan.

@@ -189,11 +189,12 @@ TEST(MaxminProperties, UnsharedFlowsGetFullCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential pinning of the kernelized solver (kHeap / kScan / kAuto,
+// Differential pinning of the kernelized solver (scan with heap fallback,
 // serial and pool-sharded) against a VERBATIM copy of the pre-kernel
-// solver. The header argues the kernels are bit-identical; these tests
-// make the argument empirical: every strategy must reproduce the old
-// solver's rates and round counts bit for bit (EXPECT_EQ on doubles, no
+// solver. The header argues they are bit-identical; these tests make the
+// argument empirical: the kernel, and the maxmin_fair_rates entry point the
+// ReferenceEngine solves with, must reproduce the old solver's rates (and
+// the kernel its round counts) bit for bit (EXPECT_EQ on doubles, no
 // tolerance) across random, tie-heavy, power-law, and staircase instances.
 
 /// The batched water-filling solver exactly as it shipped before the
@@ -388,11 +389,9 @@ struct SolveResult {
   std::uint64_t rounds = 0;
 };
 
-SolveResult solve_kernel(const Instance& inst, SolverStrategy strategy,
-                         ThreadPool* pool = nullptr) {
+SolveResult solve_kernel(const Instance& inst, ThreadPool* pool = nullptr) {
   const SolveInputs in = build_inputs(inst);
   FairShareSolver<CsrContext> solver;
-  solver.set_strategy(strategy);
   solver.resize(inst.capacities.size(), inst.paths.size());
   SolveResult r;
   r.rates.assign(inst.paths.size(), 0.0);
@@ -423,15 +422,11 @@ void expect_identical(const SolveResult& got, const SolveResult& want,
   }
 }
 
-void expect_all_strategies_identical(const Instance& inst,
-                                     std::uint64_t seed) {
+void expect_matches_pr6(const Instance& inst, std::uint64_t seed) {
   const SolveResult ref = solve_pr6(inst);
-  expect_identical(solve_kernel(inst, SolverStrategy::kHeap), ref,
-                   "kHeap vs pr6", seed);
-  expect_identical(solve_kernel(inst, SolverStrategy::kScan), ref,
-                   "kScan vs pr6", seed);
-  expect_identical(solve_kernel(inst, SolverStrategy::kAuto), ref,
-                   "kAuto vs pr6", seed);
+  expect_identical(solve_kernel(inst), ref, "kernel vs pr6", seed);
+  SolveResult entry{solve(inst), ref.rounds};
+  expect_identical(entry, ref, "maxmin_fair_rates vs pr6", seed);
 }
 
 /// Tie-heavy adversary: one power-of-two capacity everywhere and small
@@ -462,8 +457,7 @@ Instance tie_heavy_instance(std::uint64_t seed) {
 
 /// Power-law adversary: capacities spread over ~30 binades, so shares
 /// almost never tie and the solver grinds through many singleton rounds —
-/// the scan kernel's worst case and the kAuto heap fallback's reason to
-/// exist.
+/// the scan's worst case and the heap fallback's reason to exist.
 Instance power_law_instance(std::uint64_t seed) {
   Prng prng(seed, 0xB10Cu);
   Instance inst;
@@ -489,7 +483,7 @@ Instance power_law_instance(std::uint64_t seed) {
 
 /// Staircase adversary: n links with strictly increasing capacities and
 /// one two-hop flow per link — every round freezes a single link, so an
-/// n-link instance runs n-ish singleton rounds. Large n drives kAuto's
+/// n-link instance runs n-ish singleton rounds. Large n drives the
 /// cumulative scan work over its budget and forces the mid-solve
 /// scan->heap switch.
 Instance staircase_instance(std::size_t n) {
@@ -506,20 +500,19 @@ Instance staircase_instance(std::size_t n) {
   return inst;
 }
 
-TEST(MaxminKernel, StrategiesMatchPr6ReferenceBitwise) {
+TEST(MaxminKernel, RandomInstancesMatchPr6ReferenceBitwise) {
   // One full chaos-matrix worth of seeds (231), alternating weighted and
   // unweighted random instances.
   for (std::uint64_t seed = 3000; seed < 3231; ++seed) {
-    expect_all_strategies_identical(random_instance(seed, seed % 2 == 1),
-                                    seed);
+    expect_matches_pr6(random_instance(seed, seed % 2 == 1), seed);
   }
 }
 
 TEST(MaxminKernel, TieHeavyInstancesMatchAndSatisfyAxioms) {
   for (std::uint64_t seed = 4000; seed < 4100; ++seed) {
     const Instance inst = tie_heavy_instance(seed);
-    expect_all_strategies_identical(inst, seed);
-    const SolveResult r = solve_kernel(inst, SolverStrategy::kScan);
+    expect_matches_pr6(inst, seed);
+    const SolveResult r = solve_kernel(inst);
     expect_feasible(inst, r.rates);
     expect_bottlenecked(inst, r.rates);
   }
@@ -528,8 +521,8 @@ TEST(MaxminKernel, TieHeavyInstancesMatchAndSatisfyAxioms) {
 TEST(MaxminKernel, PowerLawInstancesMatchAndSatisfyAxioms) {
   for (std::uint64_t seed = 5000; seed < 5100; ++seed) {
     const Instance inst = power_law_instance(seed);
-    expect_all_strategies_identical(inst, seed);
-    const SolveResult r = solve_kernel(inst, SolverStrategy::kAuto);
+    expect_matches_pr6(inst, seed);
+    const SolveResult r = solve_kernel(inst);
     expect_feasible(inst, r.rates);
     expect_bottlenecked(inst, r.rates);
   }
@@ -537,11 +530,11 @@ TEST(MaxminKernel, PowerLawInstancesMatchAndSatisfyAxioms) {
 
 TEST(MaxminKernel, AutoSwitchesMidSolveAndStaysBitIdentical) {
   // 600 links x ~600 singleton rounds sweeps ~180k slots, far past the
-  // kAuto budget of 8*600 + 4096 — the scan->heap switch fires mid-solve
+  // scan budget of 8*600 + 4096 — the scan->heap switch fires mid-solve
   // (around round ~16) and the remaining rounds run on the rebuilt heap.
   const Instance inst = staircase_instance(600);
-  expect_all_strategies_identical(inst, 600);
-  const SolveResult r = solve_kernel(inst, SolverStrategy::kAuto);
+  expect_matches_pr6(inst, 600);
+  const SolveResult r = solve_kernel(inst);
   expect_feasible(inst, r.rates);
   expect_bottlenecked(inst, r.rates);
 }
@@ -565,10 +558,9 @@ TEST(MaxminKernel, ShardedSolveIsBitIdenticalToSerial) {
   }
   inst.weights.assign(inst.paths.size(), 1.0);
 
-  const SolveResult serial = solve_kernel(inst, SolverStrategy::kScan);
+  const SolveResult serial = solve_kernel(inst);
   ThreadPool pool(4);
-  const SolveResult sharded =
-      solve_kernel(inst, SolverStrategy::kScan, &pool);
+  const SolveResult sharded = solve_kernel(inst, &pool);
   expect_identical(sharded, serial, "sharded vs serial", kLinks);
   expect_feasible(inst, serial.rates);
   expect_bottlenecked(inst, serial.rates);
@@ -587,10 +579,9 @@ TEST(MaxminKernel, ShardedBroadcastIsBitIdenticalToSerial) {
   }
   inst.weights.assign(kLinks, 1.0);
 
-  const SolveResult serial = solve_kernel(inst, SolverStrategy::kScan);
+  const SolveResult serial = solve_kernel(inst);
   ThreadPool pool(4);
-  const SolveResult sharded =
-      solve_kernel(inst, SolverStrategy::kScan, &pool);
+  const SolveResult sharded = solve_kernel(inst, &pool);
   expect_identical(sharded, serial, "sharded broadcast vs serial", kLinks);
   for (const double r : serial.rates) EXPECT_EQ(r, 8.0);
 }

@@ -1,8 +1,7 @@
 // Route-cache correctness: cached paths must be byte-for-byte the paths the
 // topology would compute fresh, the cache must engage exactly when routes
 // are provably static (deterministic routing function, no fault-aware
-// wrapper, EngineOptions::route_cache on), and entries must persist across
-// run() calls on one engine.
+// wrapper), and entries must persist across run() calls on one engine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +12,7 @@
 #include "resilience/fault_router.hpp"
 #include "topo/factory.hpp"
 #include "util/prng.hpp"
+#include "verify/reference_engine.hpp"
 #include "workloads/factory.hpp"
 
 namespace nestflow {
@@ -38,7 +38,8 @@ TEST(RouteCache, StaticRouteDeclarationsMatchReality) {
   EXPECT_FALSE(router.routes_are_static());
 }
 
-/// Same program, cache on vs off: identical SimResult AND identical
+/// Same program on FlowEngine (route cache on) and on the ReferenceEngine,
+/// which routes every activation afresh: identical SimResult AND identical
 /// per-link traffic — the strongest observable statement that every cached
 /// path equals the freshly routed one.
 TEST(RouteCache, CachedPathsCarryIdenticalTraffic) {
@@ -50,12 +51,10 @@ TEST(RouteCache, CachedPathsCarryIdenticalTraffic) {
       EngineOptions options;
       options.adaptive_routing = false;
 
-      options.route_cache = false;
-      FlowEngine fresh(*topo, options);
+      verify::ReferenceEngine fresh(*topo, options);
       const SimResult fresh_result = fresh.run(program);
       const std::vector<double> fresh_bytes = fresh.last_link_bytes();
 
-      options.route_cache = true;
       FlowEngine cached(*topo, options);
       const SimResult cached_result = cached.run(program);
 
@@ -106,20 +105,6 @@ TEST(RouteCache, BypassedForFaultAwareRouting) {
   faults.apply(engine);
   const SimResult result = engine.run(program);
   EXPECT_EQ(result.route_cache_hits + result.route_cache_misses, 0u);
-}
-
-TEST(RouteCache, BypassedWhenDisabledByOption) {
-  const auto topo = make_topology("torus:4x4x2");
-  const TrafficProgram program = generate(*topo, "unstructured-app");
-  EngineOptions options;
-  options.adaptive_routing = false;
-  options.route_cache = false;
-  FlowEngine engine(*topo, options);
-  const SimResult result = engine.run(program);
-  EXPECT_EQ(result.route_cache_hits + result.route_cache_misses, 0u);
-  // The solve cache leans on route-cache-owned path identities, so it must
-  // sit out too.
-  EXPECT_EQ(result.solve_cache_hits + result.solve_cache_misses, 0u);
 }
 
 TEST(RouteCache, EntriesPersistAcrossRuns) {
