@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "flowsim/engine.hpp"
 #include "resilience/fault_model.hpp"
 #include "resilience/fault_router.hpp"
@@ -79,10 +78,7 @@ int run(int argc, char** argv) {
                  "horizon / 8)",
                  "0");
   cli.add_option("max-retries", "restart policy: retry budget per flow", "3");
-  cli.add_option("threads",
-                 "total thread budget across trials and solvers (0 = "
-                 "hardware)",
-                 "0");
+  cli.add_option("threads", "trials run concurrently (0 = hardware)", "0");
   cli.add_option("csv", "per-trial CSV output path",
                  "build/artifacts/ext_availability.csv");
   cli.add_flag("smoke", "quick CI preset: small system, 8 seeds");
@@ -142,22 +138,18 @@ int run(int argc, char** argv) {
       cli.get_double("retry-backoff") > 0.0 ? cli.get_double("retry-backoff")
                                             : params.horizon_seconds / 8.0;
 
-  const auto [outer_threads, solver_threads] = arbitrate_thread_budget(
-      num_trials, static_cast<std::uint32_t>(cli.get_uint("threads")), 0);
-  base_options.solver_threads = solver_threads;
-
+  ThreadPool pool(cli.get_uint("threads"));
   std::printf(
       "== Extension: availability campaign (%s, %s, policy %s) ==\n"
       "   %llu trials, horizon %.3gs, cable MTBF %.3gs, endpoint MTBF "
-      "%.3gs, MTTR %.3gs, %u x %u threads\n\n",
+      "%.3gs, MTTR %.3gs, %zu threads\n\n",
       system_spec.c_str(), workload_name.c_str(),
       cli.get_string("policy").c_str(),
       static_cast<unsigned long long>(num_trials), params.horizon_seconds,
       params.cable_mtbf_seconds, params.endpoint_mtbf_seconds,
-      params.mttr_seconds, outer_threads, solver_threads);
+      params.mttr_seconds, pool.size());
 
   std::vector<TrialResult> trials(num_trials);
-  ThreadPool pool(outer_threads);
   pool.parallel_for(num_trials, [&](std::size_t i) {
     const std::uint64_t seed = seed0 + i;
     const FaultTimeline timeline =

@@ -23,15 +23,6 @@
 // the workload this PR targets, and they operate in the steady regime. The
 // JSON also records cold numbers so the one-shot cost stays tracked.
 //
-// Schema v3 adds a thread-scaling section: --threads takes a comma list of
-// solver thread counts and re-times the optimized configuration at each,
-// asserting that every thread count reproduces the serial run's physical
-// metrics and work counters bit-for-bit. --min-thread-speedup optionally
-// gates the best 4-thread-vs-serial steady speedup; it defaults to 0
-// (report-only) because wall-clock scaling is a property of the host, not
-// the code — see scripts/run_bench.sh, which engages it only on multi-core
-// machines.
-//
 // Every cell cross-checks bit-identity three ways (baseline vs optimized,
 // and cold vs steady within each mode) on the full physical metric set — a
 // free A/B of the bit-identity contract — and the binary exits non-zero on
@@ -93,15 +84,6 @@ struct ModeStats {
   double cold_wall_seconds = 0.0;
   double steady_wall_seconds = 0.0;
   SimResult result;  // steady-regime result (== cold when self_consistent)
-  // The FINAL repeat iteration's result (== cold when repeat is 0), used for
-  // counter-identity comparisons. `result` tracks the *fastest* iteration,
-  // and which iteration wins is timing noise — while cache counters evolve
-  // across iterations (a steady run can still insert entries the cold run
-  // did not), so counters from best-of-repeat results are not comparable
-  // across independently-timed runs. Iteration k's counters ARE a
-  // deterministic function of the configuration, so pinning the comparison
-  // to a fixed k makes the identity check reproducible.
-  SimResult identity_result;
   bool self_consistent = true;  // cold and steady runs agreed bit-for-bit
 };
 
@@ -157,36 +139,23 @@ bool same_physical(const SimResult& a, const SimResult& b) {
          a.undelivered_bytes == b.undelivered_bytes;
 }
 
-/// same_physical plus the work counters — the full-determinism bar that runs
-/// at every solver_threads count must clear against each other.
-bool same_full(const SimResult& a, const SimResult& b) {
-  return same_physical(a, b) && a.solver_rounds == b.solver_rounds &&
-         a.route_cache_hits == b.route_cache_hits &&
-         a.route_cache_misses == b.route_cache_misses &&
-         a.solve_cache_hits == b.solve_cache_hits &&
-         a.solve_cache_misses == b.solve_cache_misses;
-}
-
 /// Times one engine (FlowEngine or the ReferenceEngine baseline) on a cell:
 /// a cold run, then `repeat` steady runs on the same engine.
 template <typename Engine>
 ModeStats run_mode(const Topology& topology, const TrafficProgram& program,
                    std::uint32_t repeat, double latency,
-                   std::size_t solve_cache_words,
-                   std::uint32_t solver_threads = 1) {
+                   std::size_t solve_cache_words) {
   EngineOptions options;
   options.adaptive_routing = false;  // identical deterministic paths
   options.time_solver = true;
   options.hop_latency_seconds = latency;
   options.solve_cache_budget_words = solve_cache_words;
-  options.solver_threads = solver_threads;
 
   Engine engine(topology, options);
   ModeStats stats;
   SimResult cold;
   stats.cold_wall_seconds = time_run(engine, program, cold);
   stats.result = cold;
-  stats.identity_result = cold;
   stats.steady_wall_seconds = stats.cold_wall_seconds;
   for (std::uint32_t r = 0; r < repeat; ++r) {
     SimResult steady;
@@ -194,7 +163,6 @@ ModeStats run_mode(const Topology& topology, const TrafficProgram& program,
     // Physical-only: a cold run misses the caches a steady run hits, so the
     // counters legitimately differ between the two regimes.
     if (!same_physical(cold, steady)) stats.self_consistent = false;
-    if (r + 1 == repeat) stats.identity_result = steady;
     if (r == 0 || wall < stats.steady_wall_seconds) {
       stats.steady_wall_seconds = wall;
       stats.result = std::move(steady);
@@ -289,8 +257,8 @@ std::string compiler_id() {
 int main(int argc, char** argv) {
   CliParser cli("perf_engine",
                 "Times the flow engine (FlowEngine vs the from-scratch "
-                "ReferenceEngine, plus parallel solver thread scaling) over "
-                "workload x topology cells and writes BENCH_engine.json.");
+                "ReferenceEngine) over workload x topology cells and writes "
+                "BENCH_engine.json.");
   cli.add_option("nodes", "machine size (endpoints = tasks)", "4096");
   cli.add_option("workloads",
                  "comma list of workload specs (default: all eleven)", "");
@@ -330,15 +298,6 @@ int main(int argc, char** argv) {
                  "resident (giant-flow-set workloads like the mapreduce "
                  "shuffle need hundreds of MiB per program)",
                  "512");
-  cli.add_option("threads",
-                 "comma list of solver thread counts for the thread-scaling "
-                 "section (empty = skip it)",
-                 "");
-  cli.add_option("min-thread-speedup",
-                 "fail (exit 1) when the best 4-thread steady speedup over "
-                 "the serial solver across cells is below this (0 = report "
-                 "only; identicality is always enforced)",
-                 "0");
   cli.add_option("git-sha", "source revision stamped into the JSON", "");
   cli.add_option("out", "output JSON path",
                  "build/artifacts/BENCH_engine.json");
@@ -356,14 +315,8 @@ int main(int argc, char** argv) {
   const std::size_t solve_cache_words =
       static_cast<std::size_t>(cli.get_uint("solve-cache-mb")) *
       ((1u << 20) / 8);
-  const double min_thread_speedup = cli.get_double("min-thread-speedup");
   std::vector<std::string> workloads = cli.get_string_list("workloads");
   if (workloads.empty()) workloads = all_workload_names();
-  std::vector<std::uint32_t> thread_counts;
-  for (const auto t : cli.get_int_list("threads")) {
-    if (t < 1) throw std::invalid_argument("--threads entries must be >= 1");
-    thread_counts.push_back(static_cast<std::uint32_t>(t));
-  }
 
   std::vector<TopologyPoint> points;
   for (const auto& token : cli.get_string_list("points")) {
@@ -376,11 +329,6 @@ int main(int argc, char** argv) {
   }
 
   bool ok = true;
-  // Best steady speedup of each thread count over serial across all cells:
-  // the gate asks whether parallelism CAN pay on this host, so the most
-  // favourable cell (largest components, least event churn) is the honest
-  // witness.
-  double best_4thread_speedup = 0.0;
   std::ofstream out(out_path);
   out.precision(12);
   out << "{\n  \"schema\": \"nestflow-bench-engine-v6\",\n"
@@ -480,70 +428,6 @@ int main(int argc, char** argv) {
       }
       emit_mode(out, "optimized", optimized);
 
-      // ------------------------------------------- thread-scaling section
-      if (!thread_counts.empty()) {
-        out << ",\n      \"thread_scaling\": [";
-        // The serial (threads=1) optimized run anchors every comparison:
-        // physical and counter identicality for every count, and the
-        // speedup baseline.
-        std::optional<ModeStats> serial;
-        bool first_entry = true;
-        for (const auto threads : thread_counts) {
-          const ModeStats timed = run_mode<FlowEngine>(
-              *topology, program, repeat, latency, solve_cache_words, threads);
-          if (threads == 1 && !serial) serial = timed;
-          if (!serial) {
-            serial = run_mode<FlowEngine>(*topology, program, repeat, latency,
-                                          solve_cache_words, 1);
-          }
-
-          const bool physical_identical =
-              same_physical(serial->result, timed.result) &&
-              timed.self_consistent;
-          // Counter identity compares identity_result (the final repeat
-          // iteration), never the best-of-repeat result: cache counters
-          // evolve across steady iterations, so comparing whichever
-          // iteration happened to be fastest is timing-dependent noise.
-          const bool counters_identical =
-              same_full(serial->identity_result, timed.identity_result);
-          if (!physical_identical || !counters_identical) {
-            std::cerr << "THREAD MISMATCH on " << spec << " @ "
-                      << point.config_name() << " at solver_threads="
-                      << threads << ": physical "
-                      << (physical_identical ? "ok" : "DIVERGED")
-                      << ", counters "
-                      << (counters_identical ? "ok" : "DIVERGED") << "\n";
-            ok = false;
-          }
-
-          const double thread_speedup =
-              timed.steady_wall_seconds > 0.0
-                  ? serial->steady_wall_seconds / timed.steady_wall_seconds
-                  : 0.0;
-          if (threads == 4) {
-            best_4thread_speedup =
-                std::max(best_4thread_speedup, thread_speedup);
-          }
-          if (!first_entry) out << ", ";
-          first_entry = false;
-          out << "{\"threads\": " << threads << ", \"cold_wall_seconds\": "
-              << timed.cold_wall_seconds << ", \"steady_wall_seconds\": "
-              << timed.steady_wall_seconds << ", \"speedup_vs_serial\": "
-              << thread_speedup << ", \"identical\": "
-              << ((physical_identical && counters_identical) ? "true"
-                                                             : "false")
-              << "}";
-
-          std::cout << "  threads=" << threads << ": steady "
-                    << timed.steady_wall_seconds << " s, "
-                    << thread_speedup << "x vs serial, identical "
-                    << ((physical_identical && counters_identical) ? "yes"
-                                                                   : "NO")
-                    << "\n";
-        }
-        out << "]";
-      }
-
       const std::uint64_t cell_rss = peak_rss_bytes();
       out << ",\n      \"speedup\": " << speedup
           << ",\n      \"cold_speedup\": " << cold_speedup
@@ -571,12 +455,6 @@ int main(int argc, char** argv) {
   }
   out << "\n  ]\n}\n";
 
-  if (min_thread_speedup > 0.0 &&
-      best_4thread_speedup < min_thread_speedup) {
-    std::cerr << "THREAD SPEEDUP BELOW TARGET: best 4-thread steady speedup "
-              << best_4thread_speedup << " < " << min_thread_speedup << "\n";
-    ok = false;
-  }
   const double final_rss_gb =
       static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0 * 1024.0);
   std::cout << "peak rss: " << final_rss_gb << " GiB\n";

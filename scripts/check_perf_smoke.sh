@@ -10,10 +10,9 @@
 #
 #   1. a baseline-vs-optimized pass (mapreduce + nearneighbors on
 #      NestGHC(t=2,u=4) at N=256) — the unconditional bit-identity
-#      cross-check between the ReferenceEngine and FlowEngine, plus the
-#      thread-identicality sweep (results and work counters) at 1,2,4
-#      solver threads. No speedup floor: at toy N the ratio is noise, but
-#      identity must hold at every size.
+#      cross-check between the ReferenceEngine and FlowEngine. No speedup
+#      floor: at toy N the ratio is noise, but identity must hold at every
+#      size.
 #   2. an --optimized-only pass at N=1024 under --max-rss-gb, exercising
 #      the cold-vs-steady self-consistency gate and the memory budget the
 #      million-endpoint recipe relies on (default ceiling 2 GiB — the
@@ -27,8 +26,8 @@
 #      (1.60x on this cell; measured phase ratio 2.12-2.16x, see
 #      EXPERIMENTS.md).
 #
-# Identicality failures, thread divergence, a dispatch-phase regression,
-# or an RSS overrun exit non-zero and fail CI.
+# Identicality failures, a dispatch-phase regression, or an RSS overrun
+# exit non-zero and fail CI.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -47,7 +46,6 @@ mkdir -p "$repo_root/build/artifacts"
   --workloads mapreduce,nearneighbors \
   --points nestghc-t2-u4 \
   --repeat 2 \
-  --threads 1,2,4 \
   --out "$repo_root/build/artifacts/BENCH_perf_smoke_ab.json"
 
 "$build_dir/bench/perf_engine" \
@@ -68,5 +66,5 @@ mkdir -p "$repo_root/build/artifacts"
   --solve-cache-mb 512 \
   --out "$repo_root/build/artifacts/BENCH_perf_smoke_dispatch.json"
 
-echo "perf smoke: A/B + thread identicality at N=256, optimized-only" \
+echo "perf smoke: A/B identicality at N=256, optimized-only" \
   "at N=$nodes under $rss_gb GiB peak RSS, dispatch gate >= 1.92x — ok"

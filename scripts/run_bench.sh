@@ -15,10 +15,9 @@
 #      BENCH_engine.json at the repo root;
 #   2. gating passes on the acceptance cells — Sweep3D and Stencil
 #      (nearneighbors) at N=4096, one pass per workload so each keeps its
-#      own floor — with the solver-thread scaling section (1,2,4,8
-#      threads), so a steady-state perf regression below the floor, or ANY
-#      result or counter divergence between thread counts, fails this
-#      script. The floors are the former 1.1x scaled by how much slower
+#      own floor — so a steady-state perf regression below the floor, or
+#      ANY result divergence from the baseline, fails this script. The
+#      floors are the former 1.1x scaled by how much slower
 #      the ReferenceEngine is than the cacheless FlowEngine it replaced as
 #      the baseline (EXPERIMENTS.md, "Gate floors against the
 #      ReferenceEngine"): Sweep3D 1.1 x 2.94 -> 3.24, nearneighbors
@@ -26,10 +25,7 @@
 #      times because the BASELINE got faster, not because the optimized
 #      path got slower: 2x -> 1.5x when batched water-filling accelerated
 #      the cacheless mode's full re-solves ~35%, and 1.5x -> 1.1x when the
-#      scan-kernel solver accelerated them another 1.7-3.8x.) The 1.5x
-#      4-thread wall-clock gate is engaged only when the host actually has
-#      >= 4 cores: thread scaling is a host property, identicality is a
-#      code property, and only the latter is checkable everywhere.
+#      scan-kernel solver accelerated them another 1.7-3.8x.)
 #   3. a gating pass on the giant-flow-set cell — the MapReduce shuffle on
 #      NestGHC(t=2,u=4) at N=1024 (N=4096 mapreduce is prohibitively slow
 #      to BASELINE-solve) — gating steady, cold and dispatch separately.
@@ -48,13 +44,6 @@ build_dir="$repo_root/build-release"
 
 git_sha=$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)
 cores=$(nproc 2>/dev/null || echo 4)
-if [ "$cores" -ge 4 ]; then
-  thread_gate="--min-thread-speedup 1.5"
-else
-  thread_gate=""
-  echo "note: $cores core(s) available; thread-speedup gate disabled" \
-    "(identicality still enforced)"
-fi
 
 cmake --preset release -S "$repo_root"
 cmake --build "$build_dir" -j "$cores" --target perf_engine
@@ -63,23 +52,17 @@ cmake --build "$build_dir" -j "$cores" --target perf_engine
   --git-sha "$git_sha" \
   --out "$repo_root/BENCH_engine.json" "$@"
 
-# shellcheck disable=SC2086  # thread_gate intentionally word-splits
 "$build_dir/bench/perf_engine" \
   --workloads sweep3d \
   --nodes 4096 \
   --min-speedup 3.24 \
-  --threads 1,2,4,8 \
-  $thread_gate \
   --git-sha "$git_sha" \
   --out "$repo_root/BENCH_engine_gate.json"
 
-# shellcheck disable=SC2086  # thread_gate intentionally word-splits
 "$build_dir/bench/perf_engine" \
   --workloads nearneighbors \
   --nodes 4096 \
   --min-speedup 1.36 \
-  --threads 1,2,4,8 \
-  $thread_gate \
   --git-sha "$git_sha" \
   --out "$repo_root/BENCH_engine_gate_nearneighbors.json"
 

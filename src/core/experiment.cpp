@@ -1,13 +1,12 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "util/log.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nestflow {
 
@@ -109,24 +108,6 @@ std::vector<OverheadRow> run_overhead_analysis(std::uint64_t num_nodes) {
   return rows;
 }
 
-std::pair<std::uint32_t, std::uint32_t> arbitrate_thread_budget(
-    std::size_t num_cells, std::uint32_t requested_outer,
-    std::uint32_t requested_inner) {
-  const auto hardware =
-      std::max(1u, static_cast<std::uint32_t>(
-                       std::thread::hardware_concurrency()));
-  const std::uint32_t budget =
-      requested_outer == 0 ? hardware : requested_outer;
-  // Cells are the coarser (and perfectly independent) unit, so they claim
-  // the budget first; solver threads only get what cells cannot use.
-  const auto outer = static_cast<std::uint32_t>(
-      std::clamp<std::size_t>(num_cells, 1, budget));
-  const std::uint32_t leftover = std::max(1u, budget / outer);
-  const std::uint32_t inner =
-      requested_inner == 0 ? leftover : std::min(requested_inner, leftover);
-  return {outer, std::max(1u, inner)};
-}
-
 std::vector<SimulationCell> run_simulation_sweep(
     const SimulationSweepConfig& config) {
   if (config.workloads.empty()) {
@@ -147,11 +128,7 @@ std::vector<SimulationCell> run_simulation_sweep(
   }
 
   std::vector<SimulationCell> cells(jobs.size());
-  const auto [outer_threads, solver_threads] = arbitrate_thread_budget(
-      jobs.size(), config.threads, config.engine.solver_threads);
-  EngineOptions engine_options = config.engine;
-  engine_options.solver_threads = solver_threads;
-  ThreadPool pool(outer_threads);
+  ThreadPool pool(config.threads);
   std::mutex log_mutex;
 
   // Build each topology point once and share it read-only across that
@@ -191,7 +168,7 @@ std::vector<SimulationCell> run_simulation_sweep(
                                 std::hash<std::string>{}(workload_name));
     const TrafficProgram program = workload->generate(context);
 
-    FlowEngine engine(*topology, engine_options);
+    FlowEngine engine(*topology, config.engine);
     cells[i].result = engine.run(program);
 
     if (config.verbose) {

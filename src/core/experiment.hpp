@@ -9,14 +9,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
 #include "flowsim/engine.hpp"
 #include "graph/distance_metrics.hpp"
 #include "topo/factory.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/factory.hpp"
 
 namespace nestflow {
@@ -98,30 +96,12 @@ struct SimulationSweepConfig {
   std::vector<std::uint32_t> t_values = {2, 4, 8};
   std::vector<std::uint32_t> u_values = {8, 4, 2, 1};
   std::uint64_t seed = 42;
-  /// Thread budget for the sweep (0 = hardware concurrency). How it is
-  /// split between the cross-cell pool and the engines' intra-run solver
-  /// pools is decided by arbitrate_thread_budget() together with
-  /// engine.solver_threads (set that to 0 to let single-cell runs claim the
-  /// whole budget as solver threads).
+  /// Cells run concurrently on this many threads (0 = hardware
+  /// concurrency); each cell's engine is serial.
   std::uint32_t threads = 0;
   EngineOptions engine;
   bool verbose = false;  // log each finished cell
 };
-
-/// Oversubscription arbitration between the cross-cell sweep pool (outer)
-/// and the engines' intra-run solver pools (inner): outer x inner never
-/// exceeds the thread budget — requested_outer, or hardware_concurrency
-/// when it is 0. Many independent cells saturate the budget by themselves,
-/// so they get the outer pool and engines solve serially; a single-cell run
-/// (gate and ablation drivers) hands the whole budget to that engine's
-/// solver pool instead. requested_inner == 0 asks for "whatever the budget
-/// leaves per cell"; an explicit request is honoured but clamped so the
-/// product stays within budget. Returns {outer_threads, solver_threads},
-/// both >= 1. Deterministic: thread counts never change simulation results
-/// (see EngineOptions::solver_threads), only wall time.
-[[nodiscard]] std::pair<std::uint32_t, std::uint32_t> arbitrate_thread_budget(
-    std::size_t num_cells, std::uint32_t requested_outer,
-    std::uint32_t requested_inner);
 
 /// Simulates every workload on every matrix point. Each topology point is
 /// built once (in parallel) and shared read-only by every workload cell at

@@ -3,14 +3,12 @@
 #include "flowsim/audit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -67,23 +65,6 @@ FlowEngine::FlowEngine(const Topology& topology, EngineOptions options)
   link_bytes_.assign(num_links, 0.0);
   link_dirty_.assign(num_links, 0);
   link_in_component_.assign(num_links, 0);
-
-  // Intra-run parallelism: one keep-alive pool for the engine's lifetime.
-  // A single-threaded engine solves the same components inline and never
-  // pays for a pool.
-  std::size_t solver_threads = options_.solver_threads;
-  if (solver_threads == 0) {
-    solver_threads =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (solver_threads > 1) {
-    solver_pool_ = std::make_unique<ThreadPool>(solver_threads);
-    worker_solvers_.reserve(solver_threads);
-    for (std::size_t w = 0; w < solver_threads; ++w) {
-      worker_solvers_.push_back(
-          std::make_unique<FairShareSolver<EngineContext>>());
-    }
-  }
 }
 
 void FlowEngine::set_capacity_factor(LinkId link, double factor) {
@@ -350,7 +331,7 @@ bool FlowEngine::collect_dirty_components_partitioned() {
   // completion touched is reached through its surviving links. Each seed's
   // component is BFS-exhausted before the next seed starts, so every
   // component occupies a contiguous range of affected_flows_ and
-  // affected_links_ — the unit of work the solver pool divides.
+  // affected_links_ — the unit solve_components() solves and memoizes.
   //
   // BFS over the bipartite flow-link incidence; affected_links_ doubles as
   // the frontier queue. Each range is a *complete* connected component:
@@ -413,116 +394,42 @@ void FlowEngine::prune_used_links() {
   });
 }
 
-void FlowEngine::solve_component(std::size_t c,
-                                 FairShareSolver<EngineContext>& solver) {
-  const ComponentRange& range = components_[c];
-  const std::span<const LinkId> links(
-      affected_links_.data() + range.link_begin,
-      range.link_end - range.link_begin);
-  const std::span<const FlowIndex> flows(
-      affected_flows_.data() + range.flow_begin,
-      range.flow_end - range.flow_begin);
-
-  if (solve_cache_active_) {
+void FlowEngine::solve_components(SimResult& result) {
+  const EngineContext ctx{this};
+  for (const ComponentRange& range : components_) {
+    const std::span<const LinkId> links(
+        affected_links_.data() + range.link_begin,
+        range.link_end - range.link_begin);
+    const std::span<const FlowIndex> flows(
+        affected_flows_.data() + range.flow_begin,
+        range.flow_end - range.flow_begin);
     // Per-component analogue of try_cached_whole_solve: an unstable path
     // identity only forfeits memoization for THIS component.
-    bool stable_identity = true;
-    for (const FlowIndex f : flows) {
-      if (!path_shared_[f]) {
-        stable_identity = false;
-        break;
-      }
-    }
-    if (stable_identity) {
-      auto& key = component_keys_[c];
-      const std::uint64_t hash = build_solve_key(links, flows, key);
-      component_hash_[c] = hash;
-      // Read-only probe against the cache state frozen at event start
-      // (inserts are deferred to the serial commit), so concurrent
-      // components race on nothing — and the lookup outcome is independent
-      // of scheduling.
-      if (const double* memo = find_cached_rates(key, hash)) {
+    const bool cacheable =
+        solve_cache_active_ &&
+        std::all_of(flows.begin(), flows.end(),
+                    [this](FlowIndex f) { return path_shared_[f] != 0; });
+    std::uint64_t hash = 0;
+    if (cacheable) {
+      hash = build_solve_key(links, flows, solve_key_);
+      if (const double* memo = find_cached_rates(solve_key_, hash)) {
         for (std::size_t i = 0; i < flows.size(); ++i) {
           rates_[flows[i]] = memo[i];
         }
-        component_cache_[c] = ComponentCache::kHit;
-        return;
-      }
-      component_cache_[c] = ComponentCache::kMiss;
-    }
-  }
-  const EngineContext ctx{this};
-  component_rounds_[c] =
-      solver.solve(ctx, links, link_weight_sum_, flows, rates_);
-}
-
-void FlowEngine::parallel_solve(SimResult& result) {
-  const std::size_t ncomp = components_.size();
-  component_rounds_.assign(ncomp, 0);
-  component_cache_.assign(ncomp, ComponentCache::kUncacheable);
-  component_hash_.assign(ncomp, 0);
-  if (component_keys_.size() < ncomp) component_keys_.resize(ncomp);
-
-  if (ncomp == 1 || solver_pool_ == nullptr) {
-    // Nothing to divide (or nobody to divide it among): solve inline on the
-    // caller with the engine's own scratch, in component order. Identical
-    // arithmetic either way — worker scratch carries no state between
-    // solves, and the commit below is the same.
-    for (std::size_t c = 0; c < ncomp; ++c) solve_component(c, solver_);
-  } else {
-    // Workers pull component indices off a shared counter (dynamic load
-    // balance: component sizes are wildly uneven). Which worker solves
-    // which component is scheduling-dependent, but nothing observable
-    // depends on it: rates land in disjoint per-flow slots, per-component
-    // outcomes land in the c-th slot of each array, and cache probes read
-    // frozen state.
-    std::atomic<std::size_t> next{0};
-    TaskGroup group(*solver_pool_);
-    const std::size_t lanes = std::min(ncomp, solver_pool_->size());
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      group.run([this, &next, ncomp] {
-        FairShareSolver<EngineContext>& solver =
-            *worker_solvers_[solver_pool_->current_worker_index()];
-        for (;;) {
-          const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-          if (c >= ncomp) return;
-          solve_component(c, solver);
-        }
-      });
-    }
-    group.wait();
-  }
-
-  // Serial commit in component-discovery order: counters and cache inserts
-  // become a pure function of the event sequence — independent of worker
-  // count and scheduling — which is what makes every SimResult field
-  // bit-identical across thread counts, 1 included.
-  for (std::size_t c = 0; c < ncomp; ++c) {
-    switch (component_cache_[c]) {
-      case ComponentCache::kHit:
         ++result.solve_cache_hits;
-        break;
-      case ComponentCache::kMiss: {
-        ++result.solve_cache_misses;
-        result.solver_rounds += component_rounds_[c];
-        const ComponentRange& range = components_[c];
-        const std::span<const FlowIndex> flows(
-            affected_flows_.data() + range.flow_begin,
-            range.flow_end - range.flow_begin);
-        const auto& key = component_keys_[c];
-        // Two identical components in one event both missed (their probes
-        // ran against the event-start state); insert only the first.
-        if (solve_key_arena_.size() + key.size() + solve_rates_arena_.size() +
-                    flows.size() <=
-                options_.solve_cache_budget_words &&
-            find_cached_rates(key, component_hash_[c]) == nullptr) {
-          insert_solved_rates(key, component_hash_[c], flows);
-        }
-        break;
+        continue;
       }
-      case ComponentCache::kUncacheable:
-        result.solver_rounds += component_rounds_[c];
-        break;
+      ++result.solve_cache_misses;
+    }
+    result.solver_rounds +=
+        solver_.solve(ctx, links, link_weight_sum_, flows, rates_);
+    // Inserting as we go never changes what a later component of this
+    // event finds: components are link-disjoint and every key embeds its
+    // link ids, so no later probe can match this entry.
+    if (cacheable && solve_key_arena_.size() + solve_key_.size() +
+                             solve_rates_arena_.size() + flows.size() <=
+                         options_.solve_cache_budget_words) {
+      insert_solved_rates(solve_key_, hash, flows);
     }
   }
 }
@@ -759,8 +666,8 @@ void FlowEngine::recover_flow(FlowIndex f, double now, double remaining_now,
 // between touches the flow's absolute predicted finish time — written once
 // per rate change — is the single source of truth the sweep and the heap
 // both read. That shared arithmetic is what makes every event bit-identical
-// whichever path serves it, at every thread count, and what the
-// ReferenceEngine (src/verify/) reproduces without either.
+// whichever path serves it, and what the ReferenceEngine (src/verify/)
+// reproduces without either.
 
 void FlowEngine::settle_slot(std::uint32_t s, double at) noexcept {
   SlotState& slot = slots_[s];
@@ -806,9 +713,13 @@ void FlowEngine::remove_active_slot(std::uint32_t s) noexcept {
   slot_finish_.pop_back();
 }
 
-void FlowEngine::advance_flows(std::span<const FlowIndex> flows, double now,
-                               std::vector<FlowIndex>& zero_out,
-                               std::vector<FlowIndex>* changed_out) {
+// The two sweep kernels stay out of line: inlined into run_impl's event
+// loop, an LTO build no longer inlines settle_slot into them, and their
+// changed-rate path (every slot of a freshly activated phase) slows by
+// about a third.
+[[gnu::noinline]] void FlowEngine::advance_flows(
+    std::span<const FlowIndex> flows, double now,
+    std::vector<FlowIndex>& zero_out, std::vector<FlowIndex>* changed_out) {
   // Quantise BEFORE the zero-rate test below: the recovery path restarts
   // the event loop, and solved-but-skipped flows would otherwise keep raw
   // rates that only a from-scratch re-solve would ever re-quantise — the
@@ -817,10 +728,7 @@ void FlowEngine::advance_flows(std::span<const FlowIndex> flows, double now,
   const double log_step = options_.rate_quantum_rel > 0.0
                               ? std::log1p(options_.rate_quantum_rel)
                               : 0.0;
-  const auto advance_one = [this, now, log_step](
-                               const FlowIndex f,
-                               std::vector<FlowIndex>& zero,
-                               std::vector<FlowIndex>* changed) {
+  for (const FlowIndex f : flows) {
     double r = rates_[f];
     if (log_step > 0.0 && r > 0.0) {
       r = std::exp(std::floor(std::log(r) / log_step) * log_step);
@@ -829,14 +737,14 @@ void FlowEngine::advance_flows(std::span<const FlowIndex> flows, double now,
     const std::uint32_t s = active_pos_[f];
     // Unchanged rate (bitwise): the stored absolute finish time is still
     // exact — this is the lazy-advance invariant, nothing to rewrite.
-    if (r == slot_rate_[s]) return;
+    if (r == slot_rate_[s]) continue;
     settle_slot(s, now);
     SlotState& slot = slots_[s];
     if (r <= 0.0 && slot.remaining > 0.0) {
       // A dead (capacity-0) link sits on the flow's path — it could never
       // finish as routed. Collected for the recovery policy.
-      zero.push_back(f);
-      return;
+      zero_out.push_back(f);
+      continue;
     }
     slot_rate_[s] = r;
     // Explicit zero-rate guard for the scan: remaining == 0 with rate 0 is
@@ -845,40 +753,7 @@ void FlowEngine::advance_flows(std::span<const FlowIndex> flows, double now,
     // transfer term of such a flow is 0 — only the fill remains.
     const double transfer = slot.remaining > 0.0 ? slot.remaining / r : 0.0;
     slot_finish_[s] = now + std::max(slot.latency_left, transfer);
-    if (changed != nullptr) changed->push_back(f);
-  };
-
-  const std::size_t n = flows.size();
-  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
-    for (const FlowIndex f : flows) advance_one(f, zero_out, changed_out);
-    return;
-  }
-  // Sharded sweep: disjoint flow ranges (distinct flows own distinct slots,
-  // so there are no write races), per-shard output lists concatenated in
-  // shard order — which equals the serial enumeration order, so the result
-  // is bit-identical at any thread count.
-  const std::size_t nshards = std::min(
-      solver_pool_->size(), (n + kDispatchShardGrain - 1) / kDispatchShardGrain);
-  const std::size_t chunk = (n + nshards - 1) / nshards;
-  if (dispatch_shards_.size() < nshards) dispatch_shards_.resize(nshards);
-  solver_pool_->parallel_for(nshards, [&](std::size_t shard) {
-    DispatchShard& out = dispatch_shards_[shard];
-    out.zero.clear();
-    out.changed.clear();
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      advance_one(flows[i], out.zero,
-                  changed_out != nullptr ? &out.changed : nullptr);
-    }
-  });
-  for (std::size_t shard = 0; shard < nshards; ++shard) {
-    DispatchShard& out = dispatch_shards_[shard];
-    zero_out.insert(zero_out.end(), out.zero.begin(), out.zero.end());
-    if (changed_out != nullptr) {
-      changed_out->insert(changed_out->end(), out.changed.begin(),
-                          out.changed.end());
-    }
+    if (changed_out != nullptr) changed_out->push_back(f);
   }
 }
 
@@ -923,9 +798,8 @@ __attribute__((target("avx2"))) std::size_t sweep_skip_avx2(
 }  // namespace
 #endif  // NESTFLOW_SWEEP_AVX2
 
-double FlowEngine::advance_flows_whole(double now,
-                                       std::vector<FlowIndex>& zero_out,
-                                       const double* slot_rates) {
+[[gnu::noinline]] double FlowEngine::advance_flows_whole(
+    double now, std::vector<FlowIndex>& zero_out, const double* slot_rates) {
   // Same arithmetic as advance_flows, restricted to the case where the
   // solved span IS active_flows_: slot s holds solved flow s, so the
   // active_pos_ gather disappears and slots_/slot_finish_ stream
@@ -949,157 +823,81 @@ double FlowEngine::advance_flows_whole(double now,
   // always a superset of the true harvest, never missing a completion.
   const double batch_mult = 1.0 + options_.completion_batch_rel;
   const std::size_t n = active_flows_.size();
-  const auto sweep_range = [this, now, log_step, slot_rates, batch_mult](
-                               std::size_t begin, std::size_t end,
-                               std::vector<FlowIndex>& zero,
-                               std::vector<std::uint32_t>& cand) {
-    double fmin = std::numeric_limits<double>::infinity();
-    double bound = std::numeric_limits<double>::infinity();
-    const auto note_finish = [&fmin, &bound, &cand, now,
-                              batch_mult](std::size_t s, double finish) {
-      if (finish <= bound) {
-        cand.push_back(static_cast<std::uint32_t>(s));
-        if (finish < fmin) {
-          fmin = finish;
-          // max floor: the deadline is floored at fmin itself (the product
-          // can round below it), so the bound must be too.
-          bound = std::max(now + (fmin - now) * batch_mult, fmin);
-        }
-      }
-    };
-#if defined(NESTFLOW_SWEEP_AVX2)
-    // Vector fast-skip for the dominant case (whole-set cache-hit blob, no
-    // quantisation): hop over 4-slot blocks with no rate change and no
-    // completion candidate in two packed compares, falling back to the
-    // scalar body — in ascending slot order — for any flagged block.
-    const bool vec_skip =
-        kSweepHaveAvx2 && slot_rates != nullptr && log_step == 0.0;
-#endif
-    for (std::size_t s = begin; s < end; ++s) {
-#if defined(NESTFLOW_SWEEP_AVX2)
-      if (vec_skip) {
-        s = sweep_skip_avx2(slot_rates, slot_rate_.data(), slot_finish_.data(),
-                            s, end, bound);
-        if (s >= end) break;
-      }
-#endif
-      // slot_rates streams sequentially; the rates_[f] gather it replaces
-      // is one DRAM miss per slot at million-flow scale. Writebacks then
-      // only happen past the unchanged test: a skipped flow's rates_ entry
-      // already holds exactly these bits (see try_cached_whole_solve). The
-      // fast path touches only slot_rates/slot_rate_/slot_finish_ — the
-      // settle record (slots_) is never pulled in for unchanged flows.
-      double r = slot_rates != nullptr ? slot_rates[s]
-                                       : rates_[active_flows_[s]];
-      if (log_step > 0.0 && r > 0.0) {
-        r = std::exp(std::floor(std::log(r) / log_step) * log_step);
-        if (slot_rates == nullptr) rates_[active_flows_[s]] = r;
-      }
-      if (r == slot_rate_[s]) {
-        note_finish(s, slot_finish_[s]);
-        continue;
-      }
-      if (slot_rates != nullptr) rates_[active_flows_[s]] = r;
-      settle_slot(static_cast<std::uint32_t>(s), now);
-      SlotState& slot = slots_[s];
-      if (r <= 0.0 && slot.remaining > 0.0) {
-        zero.push_back(active_flows_[s]);
-        continue;
-      }
-      slot_rate_[s] = r;
-      const double transfer = slot.remaining > 0.0 ? slot.remaining / r : 0.0;
-      const double finish = now + std::max(slot.latency_left, transfer);
-      slot_finish_[s] = finish;
-      note_finish(s, finish);
-    }
-    return fmin;
-  };
-
+  double fmin = std::numeric_limits<double>::infinity();
+  double bound = std::numeric_limits<double>::infinity();
   cand_slots_.clear();
-  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
-    return sweep_range(0, n, zero_out, cand_slots_);
+  const auto note_finish = [this, &fmin, &bound, now, batch_mult](
+                               std::size_t s, double finish) {
+    if (finish <= bound) {
+      cand_slots_.push_back(static_cast<std::uint32_t>(s));
+      if (finish < fmin) {
+        fmin = finish;
+        // max floor: the deadline is floored at fmin itself (the product
+        // can round below it), so the bound must be too.
+        bound = std::max(now + (fmin - now) * batch_mult, fmin);
+      }
+    }
+  };
+#if defined(NESTFLOW_SWEEP_AVX2)
+  // Vector fast-skip for the dominant case (whole-set cache-hit blob, no
+  // quantisation): hop over 4-slot blocks with no rate change and no
+  // completion candidate in two packed compares, falling back to the
+  // scalar body — in ascending slot order — for any flagged block.
+  const bool vec_skip =
+      kSweepHaveAvx2 && slot_rates != nullptr && log_step == 0.0;
+#endif
+  for (std::size_t s = 0; s < n; ++s) {
+#if defined(NESTFLOW_SWEEP_AVX2)
+    if (vec_skip) {
+      s = sweep_skip_avx2(slot_rates, slot_rate_.data(), slot_finish_.data(),
+                          s, n, bound);
+      if (s >= n) break;
+    }
+#endif
+    // slot_rates streams sequentially; the rates_[f] gather it replaces
+    // is one DRAM miss per slot at million-flow scale. Writebacks then
+    // only happen past the unchanged test: a skipped flow's rates_ entry
+    // already holds exactly these bits (see try_cached_whole_solve). The
+    // fast path touches only slot_rates/slot_rate_/slot_finish_ — the
+    // settle record (slots_) is never pulled in for unchanged flows.
+    double r = slot_rates != nullptr ? slot_rates[s]
+                                     : rates_[active_flows_[s]];
+    if (log_step > 0.0 && r > 0.0) {
+      r = std::exp(std::floor(std::log(r) / log_step) * log_step);
+      if (slot_rates == nullptr) rates_[active_flows_[s]] = r;
+    }
+    if (r == slot_rate_[s]) {
+      note_finish(s, slot_finish_[s]);
+      continue;
+    }
+    if (slot_rates != nullptr) rates_[active_flows_[s]] = r;
+    settle_slot(static_cast<std::uint32_t>(s), now);
+    SlotState& slot = slots_[s];
+    if (r <= 0.0 && slot.remaining > 0.0) {
+      zero_out.push_back(active_flows_[s]);
+      continue;
+    }
+    slot_rate_[s] = r;
+    const double transfer = slot.remaining > 0.0 ? slot.remaining / r : 0.0;
+    const double finish = now + std::max(slot.latency_left, transfer);
+    slot_finish_[s] = finish;
+    note_finish(s, finish);
   }
-  // Sharding mirrors advance_flows: disjoint slot ranges, zero lists
-  // concatenated in shard order (== slot order == the solved span's serial
-  // enumeration order), min reduced exactly (order-independent).
-  const std::size_t nshards = std::min(
-      solver_pool_->size(), (n + kDispatchShardGrain - 1) / kDispatchShardGrain);
-  const std::size_t chunk = (n + nshards - 1) / nshards;
-  if (dispatch_shards_.size() < nshards) dispatch_shards_.resize(nshards);
-  solver_pool_->parallel_for(nshards, [&](std::size_t shard) {
-    DispatchShard& out = dispatch_shards_[shard];
-    out.zero.clear();
-    out.cand.clear();
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    out.fmin = sweep_range(begin, end, out.zero, out.cand);
-  });
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t shard = 0; shard < nshards; ++shard) {
-    DispatchShard& out = dispatch_shards_[shard];
-    zero_out.insert(zero_out.end(), out.zero.begin(), out.zero.end());
-    cand_slots_.insert(cand_slots_.end(), out.cand.begin(), out.cand.end());
-    best = std::min(best, out.fmin);
-  }
-  return best;
+  return fmin;
 }
 
-double FlowEngine::min_slot_finish() {
-  const std::size_t n = slot_finish_.size();
-  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const double finish : slot_finish_) best = std::min(best, finish);
-    return best;
-  }
-  // The min of a set of doubles is order-independent (no rounding anywhere),
-  // so the per-shard partial mins reduce to the exact serial answer.
-  const std::size_t nshards = std::min(
-      solver_pool_->size(), (n + kDispatchShardGrain - 1) / kDispatchShardGrain);
-  const std::size_t chunk = (n + nshards - 1) / nshards;
-  if (dispatch_shards_.size() < nshards) dispatch_shards_.resize(nshards);
-  solver_pool_->parallel_for(nshards, [&](std::size_t shard) {
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t s = begin; s < end; ++s) {
-      best = std::min(best, slot_finish_[s]);
-    }
-    dispatch_shards_[shard].fmin = best;
-  });
+double FlowEngine::min_slot_finish() const {
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t shard = 0; shard < nshards; ++shard) {
-    best = std::min(best, dispatch_shards_[shard].fmin);
-  }
+  for (const double finish : slot_finish_) best = std::min(best, finish);
   return best;
 }
 
 void FlowEngine::harvest_finished(double deadline) {
   const std::size_t n = slot_finish_.size();
-  if (solver_pool_ == nullptr || n < 2 * kDispatchShardGrain) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (slot_finish_[s] <= deadline) {
-        harvest_scratch_.push_back(active_flows_[s]);
-      }
+  for (std::size_t s = 0; s < n; ++s) {
+    if (slot_finish_[s] <= deadline) {
+      harvest_scratch_.push_back(active_flows_[s]);
     }
-    return;
-  }
-  const std::size_t nshards = std::min(
-      solver_pool_->size(), (n + kDispatchShardGrain - 1) / kDispatchShardGrain);
-  const std::size_t chunk = (n + nshards - 1) / nshards;
-  if (dispatch_shards_.size() < nshards) dispatch_shards_.resize(nshards);
-  solver_pool_->parallel_for(nshards, [&](std::size_t shard) {
-    DispatchShard& out = dispatch_shards_[shard];
-    out.harvest.clear();
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    for (std::size_t s = begin; s < end; ++s) {
-      if (slot_finish_[s] <= deadline) out.harvest.push_back(active_flows_[s]);
-    }
-  });
-  for (std::size_t shard = 0; shard < nshards; ++shard) {
-    const DispatchShard& out = dispatch_shards_[shard];
-    harvest_scratch_.insert(harvest_scratch_.end(), out.harvest.begin(),
-                            out.harvest.end());
   }
 }
 
@@ -1193,9 +991,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   incidence_.reset(link_capacity_.size());
   std::fill(link_in_used_.begin(), link_in_used_.end(), 0);
   solver_.resize(link_capacity_.size(), n);
-  for (auto& solver : worker_solvers_) {
-    solver->resize(link_capacity_.size(), n);
-  }
   flow_finish_times_scratch_.clear();
   if (options_.record_flow_times) {
     flow_finish_times_scratch_.assign(n, 0.0);
@@ -1332,14 +1127,12 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     whole_hit_slot_rates_ = nullptr;
     std::span<const FlowIndex> solved = active_flows_;
     // The selection policy below only routes work: whole active set or
-    // per-component ranges, each solved inline, pool-sharded or fanned out
-    // across the pool. Every choice reproduces the same rates bit-for-bit —
-    // solving independent components together or apart is the same
-    // arithmetic (the freeze sequence is a pure function of component
+    // per-component ranges. Every choice reproduces the same rates
+    // bit-for-bit — solving independent components together or apart is the
+    // same arithmetic (the freeze sequence is a pure function of component
     // content, maxmin.hpp), and re-solving an untouched component
     // regenerates its frozen rates exactly — and every decision is a pure
-    // function of engine state (never of thread count or scheduling), which
-    // keeps the work counters identical at every thread count.
+    // function of engine state, never of timing.
     //
     // Threshold: most of the live fabric dirty (giant completion batches:
     // the mapreduce shuffle dirties nearly every link every event) means
@@ -1392,7 +1185,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         if (!cache_hit) {
           result.solver_rounds +=
               solver_.solve(ctx, used_links_, link_weight_sum_, active_flows_,
-                            rates_, solver_pool_.get());
+                            rates_);
           // Memoize BEFORE quantisation: the quantiser below is a pure
           // per-flow function, so replaying raw rates through it on a
           // future hit lands on identical quantised values.
@@ -1400,9 +1193,9 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         }
       }
     } else {
-      // Per-component ranges. Cache inserts happen inside the commit
-      // phase, still BEFORE quantisation.
-      if (!components_.empty()) parallel_solve(result);
+      // Per-component ranges, memoized (still BEFORE quantisation) as each
+      // is solved.
+      solve_components(result);
       solved = affected_flows_;
     }
     if (options_.time_solver) {
@@ -1443,7 +1236,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // as a full solve-and-requantise would recompute them. The event sweeps
     // when it re-solved at least half the active set — the heap would be
     // rebuilt wholesale anyway — and indexes otherwise, a pure function of
-    // engine state (never of timing or thread count). Any sweep event
+    // engine state (never of timing). Any sweep event
     // leaves the heap stale; the next indexed event rebuilds it.
     const bool sweep_event = 2 * solved.size() >= active_flows_.size();
     if (sweep_event) finish_heap_stale_ = true;
@@ -1473,7 +1266,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       // freed first; the settled residual rides along because the slot that
       // held it is gone by the time the policy runs. Ascending flow order
       // makes recovery independent of solve enumeration order (and so of
-      // the component partition and thread count).
+      // the component partition).
       std::sort(zero_rate_scratch_.begin(), zero_rate_scratch_.end());
       for (const FlowIndex f : zero_rate_scratch_) {
         const std::uint32_t s = active_pos_[f];
@@ -1622,12 +1415,11 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         }
       }
     }
-    // Process in ascending flow order — the path- and thread-count-
-    // independent order (the sweep collects in slot order, the heap in
-    // finish order; both reduce to the same sequence). Ordering goes
-    // through the flow bitmap instead of a sort, which also collapses
-    // duplicate live heap entries (a rate that changed and changed back
-    // lands the same (finish, flow) twice).
+    // Process in ascending flow order — the path-independent order (the
+    // sweep collects in slot order, the heap in finish order; both reduce
+    // to the same sequence). Ordering goes through the flow bitmap instead
+    // of a sort, which also collapses duplicate live heap entries (a rate
+    // that changed and changed back lands the same (finish, flow) twice).
     if (harvest_scratch_.size() > 1) {
       std::size_t lo = finished_mask_.size();
       std::size_t hi = 0;

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "flowsim/incidence.hpp"
 #include "flowsim/maxmin.hpp"
 #include "topo/topology.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nestflow {
 
@@ -139,20 +137,6 @@ struct EngineOptions {
   /// because perfbench/driver.cpp switches the timers on by probing for
   /// this field.
   bool time_solver = false;
-  /// Worker threads for the per-event rate re-solve. The dirty components
-  /// between events are independent max-min problems (they share no links),
-  /// so with solver_threads > 1 the engine owns a keep-alive ThreadPool for
-  /// its lifetime and solves them concurrently: each worker uses its own
-  /// FairShareSolver scratch, solve-cache lookups are read-only against the
-  /// cache state frozen at event start (inserts are committed serially, in
-  /// component-discovery order, after the join), and rates land in disjoint
-  /// per-flow slots. 1 (the default) solves the same components inline, in
-  /// discovery order, through the same lookup/commit steps, so every
-  /// SimResult field — *including* solver_rounds and the cache counters —
-  /// is bit-identical at every thread count; 0 picks hardware_concurrency.
-  /// See DESIGN.md §7 for the determinism argument and the sweep-level
-  /// oversubscription arbitration.
-  std::uint32_t solver_threads = 1;
   /// Recovery for live flows hit by a mid-run fault event, and for
   /// activations that find no surviving path while a timeline is running.
   /// See RecoveryPolicy and DESIGN.md §8. Irrelevant (never consulted on
@@ -178,8 +162,7 @@ struct SimResult {
   /// Bottleneck-freeze iterations in total. Together with the cache
   /// counters below, these count the solver work actually performed, not
   /// physics: a from-scratch re-solve (src/verify/reference_engine.hpp)
-  /// reaches the same rates with more of it. Identical at every
-  /// solver_threads count.
+  /// reaches the same rates with more of it.
   std::uint64_t solver_rounds = 0;
   /// Flow activations served from / missed by the route cache. Both zero
   /// whenever the cache is inactive (adaptive routing on, or dynamic routes
@@ -286,8 +269,7 @@ class FlowEngine {
   /// auditor is consulted per EngineOptions::audit_level during run(); it
   /// observes engine state through a read-only AuditView and may throw to
   /// abort the run (the engine does not catch). The auditor must outlive
-  /// any run() it is attached for. Audit callbacks happen on the caller's
-  /// thread only, never on solver-pool workers.
+  /// any run() it is attached for.
   void set_auditor(FlowAuditor* auditor) noexcept { auditor_ = auditor; }
 
   /// Consecutive zero-progress events (simulated time frozen AND no flow
@@ -396,14 +378,9 @@ class FlowEngine {
   /// canonical whole-set link order every whole-set solve (and solve-cache
   /// key) uses.
   void prune_used_links();
-  /// Solves components_ across the solver pool (inline when there is no
-  /// pool or only one component), then commits counters and solve-cache
-  /// inserts in component order. Bit-identical at any worker count.
-  void parallel_solve(SimResult& result);
-  /// One component's lookup-or-solve, safe to run concurrently with other
-  /// components': touches only rates_ slots of its own flows, its own
-  /// component_* slots and the given per-worker solver scratch.
-  void solve_component(std::size_t c, FairShareSolver<EngineContext>& solver);
+  /// Solves components_ in discovery order, each from the solve cache when
+  /// its content was memoized and by the solver (then memoized) otherwise.
+  void solve_components(SimResult& result);
   /// Looks the whole active set (used_links_, active_flows_) up in the
   /// solve cache by exact content. On a hit points whole_hit_slot_rates_ at
   /// the memoized rates and returns true; on a cacheable miss arms
@@ -419,8 +396,7 @@ class FlowEngine {
                                 std::span<const FlowIndex> flows,
                                 std::vector<std::uint64_t>& key) const;
   /// Finds a verified cache entry for `key`; returns its memoized rates (in
-  /// blob flow order) or nullptr. Read-only: safe to call concurrently from
-  /// the component solvers as long as no insert interleaves.
+  /// blob flow order) or nullptr.
   [[nodiscard]] const double* find_cached_rates(
       std::span<const std::uint64_t> key, std::uint64_t hash) const;
   /// Appends (key, rates of `flows`) to the cache arenas under `hash`.
@@ -577,7 +553,7 @@ class FlowEngine {
   std::vector<SolveCacheEntry> solve_cache_entries_;
   std::vector<std::uint64_t> solve_key_arena_;
   std::vector<double> solve_rates_arena_;
-  std::vector<std::uint64_t> solve_key_;  // current event's content blob
+  std::vector<std::uint64_t> solve_key_;  // current solve's content blob
   bool solve_cache_active_ = false;  // resolved per run()
   bool solve_insert_armed_ = false;  // miss was cacheable; insert after solve
   std::uint64_t solve_key_hash_ = 0;
@@ -606,26 +582,11 @@ class FlowEngine {
   std::vector<LinkId> affected_links_;
   std::vector<FlowIndex> affected_flows_;
 
-  // Component-solve state. The pool and per-worker solver scratch exist
-  // only for solver_threads > 1 and live for the engine's lifetime
-  // (keep-alive: idle workers sleep between events and across run()
-  // calls). Component c of an event owns the c-th slot of each
-  // per-component array, so workers never write a shared slot; its
-  // solve-cache decision is recorded here during the (possibly concurrent)
-  // solve phase and committed serially afterwards.
-  enum class ComponentCache : std::uint8_t { kUncacheable, kHit, kMiss };
   struct ComponentRange {
     std::uint32_t flow_begin, flow_end;  // into affected_flows_
     std::uint32_t link_begin, link_end;  // into affected_links_
   };
-  std::unique_ptr<ThreadPool> solver_pool_;
-  std::vector<std::unique_ptr<FairShareSolver<EngineContext>>>
-      worker_solvers_;  // one per pool worker (unique_ptr: no false sharing)
   std::vector<ComponentRange> components_;
-  std::vector<std::uint64_t> component_rounds_;
-  std::vector<ComponentCache> component_cache_;
-  std::vector<std::uint64_t> component_hash_;
-  std::vector<std::vector<std::uint64_t>> component_keys_;  // reused blobs
 
   // Per-link state (sized once per topology).
   std::vector<double> link_capacity_;        // effective (after degradation)
@@ -685,17 +646,6 @@ class FlowEngine {
   /// phase event. Words are zeroed on extraction, so the vector stays
   /// all-zero between events.
   std::vector<std::uint64_t> finished_mask_;
-  /// Sharded-sweep scratch (mirrors the solver kernel's shard discipline:
-  /// disjoint slot ranges, per-shard partials, serial deterministic reduce).
-  static constexpr std::size_t kDispatchShardGrain = 65536;
-  struct DispatchShard {
-    std::vector<FlowIndex> zero;
-    std::vector<FlowIndex> changed;
-    std::vector<FlowIndex> harvest;
-    std::vector<std::uint32_t> cand;
-    double fmin;
-  };
-  std::vector<DispatchShard> dispatch_shards_;
   /// Completion candidates collected by the fused whole-set sweep: slots
   /// whose predicted finish was <= a running deadline bound derived from
   /// the running min finish. The bound only tightens as the sweep
@@ -723,10 +673,7 @@ class FlowEngine {
   /// whose rate differs from the one their finish time was computed with,
   /// refreshes their predicted finish, and collects zero-rate actives into
   /// `zero_out` (and, when non-null, rate-changed flows into
-  /// `changed_out`). Sharded over the solver pool above
-  /// 2*kDispatchShardGrain flows; shard-order concatenation of the output
-  /// lists equals serial enumeration order, so results are bit-identical
-  /// at any thread count.
+  /// `changed_out`).
   void advance_flows(std::span<const FlowIndex> flows, double now,
                      std::vector<FlowIndex>& zero_out,
                      std::vector<FlowIndex>* changed_out);
@@ -746,12 +693,10 @@ class FlowEngine {
   [[nodiscard]] double advance_flows_whole(double now,
                                            std::vector<FlowIndex>& zero_out,
                                            const double* slot_rates);
-  /// Minimum of slot_finish_ over all live slots; sharded like
-  /// advance_flows (the min of a set of doubles is order-independent, so
-  /// the per-shard reduce is exact).
-  [[nodiscard]] double min_slot_finish();
+  /// Minimum of slot_finish_ over all live slots.
+  [[nodiscard]] double min_slot_finish() const;
   /// Appends every flow whose predicted finish is <= deadline to
-  /// harvest_scratch_; sharded like advance_flows.
+  /// harvest_scratch_.
   void harvest_finished(double deadline);
   /// Rebuilds finish_heap_ from the live slots, clears the stale flag.
   void rebuild_finish_heap();

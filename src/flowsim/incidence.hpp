@@ -20,11 +20,6 @@
 //     solver and the component BFS both enumerate flows in list order.
 //   - reset() (called once per run) keeps every extent's offset/capacity,
 //     so warm runs re-fill the same arena with zero allocation.
-//
-// Reads (flows()) are const and touch only the arena + extent table, so
-// concurrent readers — the parallel component solvers — are race-free as
-// long as no add()/compact() interleaves, which the engine guarantees by
-// construction (mutation happens only in the serial event phase).
 #pragma once
 
 #include <algorithm>

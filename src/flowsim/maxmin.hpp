@@ -82,15 +82,6 @@
 // Neither shortcut performs or skips any floating-point operation that a
 // later round could observe, so both are bit-exact.
 //
-// Sharded whole-set solves: solve() optionally takes a ThreadPool. The
-// pool accelerates only order-independent phases — per-shard minimum
-// scans (combined by an exact serial min over shard results), per-shard
-// tie harvests (concatenated, then sorted as always), and disjoint
-// broadcast rate writes — while freezing and delta accumulation stay
-// serial in the identical order. Results are therefore bit-identical at
-// any shard/thread count, the same two-phase commit discipline as the
-// engine's parallel component path (DESIGN.md §7).
-//
 // The solver is a template over a context type so the one algorithm serves
 // both the event engine (structure-of-arrays, incremental link occupancy)
 // and a simple reference entry point used by tests:
@@ -112,18 +103,11 @@
 // global minimum share removes weight_f * share* <= cap_l * w_f / W_l from
 // link l, so (cap - w*share*)/(W - w) >= cap/W.
 //
-// Concurrency contract: a solver instance owns mutable scratch (slot
-// arrays, frozen flags, heap) and must not be shared between threads, but
-// DISTINCT instances may solve DISTINCT components concurrently against
-// one read-only context — solve() only reads the context and only writes
-// rates[f] for flows of its own component, and the freeze sequence is a
-// pure function of component content, never of which instance runs it or
-// when. The engine's parallel path keeps one solver per pool worker on
-// exactly this contract (see DESIGN.md §7); scratch carries no state
-// between solves, so a worker solver and the engine's serial solver
-// produce bit-identical rates for the same input. All scratch lives in
-// one arena-backed allocation per instance, carved once per (links,
-// flows) shape and reused across every solve of a run.
+// A solver instance owns mutable scratch (slot arrays, frozen flags, heap)
+// that carries no state between solves: solve() only reads the context and
+// only writes rates[f] for the flows it is given. All scratch lives in one
+// arena-backed allocation per instance, carved once per (links, flows)
+// shape and reused across every solve of a run.
 #pragma once
 
 #include <algorithm>
@@ -136,7 +120,6 @@
 #include "graph/graph.hpp"
 #include "flowsim/flow.hpp"
 #include "util/arena.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nestflow {
 
@@ -178,12 +161,10 @@ class FairShareSolver {
   /// skipped. `link_weight_sum[l]` is the total weight of active flows
   /// whose path crosses l. Rates are written into `rates` (indexed by
   /// FlowIndex). Returns the number of bottleneck-freeze rounds performed.
-  /// When `pool` is non-null, whole-solve scans and broadcast writes above
-  /// a size floor are sharded across it (bit-identical at any pool size).
   std::uint64_t solve(const Ctx& ctx, std::span<const LinkId> used_links,
                       std::span<const double> link_weight_sum,
                       std::span<const FlowIndex> active_flows,
-                      std::span<double> rates, ThreadPool* pool = nullptr) {
+                      std::span<double> rates) {
     for (const FlowIndex f : active_flows) frozen_[f] = 0;
     std::size_t live_flows = active_flows.size();
 
@@ -202,7 +183,6 @@ class FairShareSolver {
       link_slot_[l] = nslots;
       ++nslots;
     }
-    nslots_ = nslots;
     live_slots_ = nslots;
 
     bool use_heap = false;
@@ -219,11 +199,8 @@ class FairShareSolver {
       bool found;
       if (use_heap) {
         found = heap_round(share);
-      } else if (pool != nullptr && nslots >= 2 * kShardGrain) {
-        found = scan_round_sharded(*pool, share);
-        scan_ops += nslots;
       } else {
-        found = scan_round_serial(share);
+        found = scan_round(share);
         scan_ops += live_slots_;
       }
       if (!found) break;  // every remaining link drained to dust
@@ -236,7 +213,9 @@ class FairShareSolver {
         // the sort and the whole incidence walk — rates are a pure per-flow
         // function. No deltas would survive (every path link is in the
         // batch), so nothing downstream can observe the shortcut.
-        broadcast_rates(ctx, active_flows, share, rates, pool);
+        for (const FlowIndex f : active_flows) {
+          rates[f] = share * ctx.flow_weight(f);
+        }
         return rounds;
       }
       first_round = false;
@@ -352,9 +331,6 @@ class FairShareSolver {
   /// The solve switches scan -> heap after sweeping ~this many multiples
   /// of the initial live-slot count.
   static constexpr std::uint32_t kScanOpsFactor = 8;
-  /// Minimum slots (or flows) per shard before pool fan-out pays for its
-  /// barrier; below 2x this, scans stay serial even with a pool.
-  static constexpr std::size_t kShardGrain = 65536;
 
   /// Remaining per-unit-weight share of a slot. The capacity floor that
   /// keeps FP drift from stalling the event loop is already folded into
@@ -367,7 +343,7 @@ class FairShareSolver {
   /// One scan round: sweep live slots computing fresh shares (compacting
   /// drained slots out in place), take the minimum, harvest bitwise ties
   /// into batch_. Returns false when no live slot remains.
-  bool scan_round_serial(double& share_out) {
+  bool scan_round(double& share_out) {
     const std::uint32_t n = live_slots_;
     std::uint32_t out = 0;
     double best = std::numeric_limits<double>::infinity();
@@ -399,58 +375,6 @@ class FairShareSolver {
       if (slot_residual_[s] / slot_weight_[s] == best) {
         batch_.push_back(slot_link_[s]);
       }
-    }
-    share_out = best;
-    return true;
-  }
-
-  /// Sharded scan round: per-shard minimum sweeps combined by an exact
-  /// serial min (order-independent), then per-shard tie harvests
-  /// concatenated (order irrelevant — the batch is sorted by the caller).
-  /// No compaction (shards own fixed ranges); dead slots are skipped by
-  /// branch in both phases. Bit-identical to the serial scan.
-  bool scan_round_sharded(ThreadPool& pool, double& share_out) {
-    const std::uint32_t n = nslots_;
-    const std::size_t nshards =
-        std::min<std::size_t>(pool.size(), (n + kShardGrain - 1) /
-                                               kShardGrain);
-    const std::uint32_t chunk =
-        static_cast<std::uint32_t>((n + nshards - 1) / nshards);
-    shard_min_.assign(nshards, std::numeric_limits<double>::infinity());
-    pool.parallel_for(nshards, [&](std::size_t shard) {
-      const std::uint32_t lo = static_cast<std::uint32_t>(shard) * chunk;
-      const std::uint32_t hi = std::min(n, lo + chunk);
-      double best = std::numeric_limits<double>::infinity();
-      for (std::uint32_t s = lo; s < hi; ++s) {
-        const double w = slot_weight_[s];
-        if (w <= kWeightEpsilon) continue;
-        const double fresh = slot_residual_[s] / w;
-        if (fresh < best) best = fresh;
-      }
-      shard_min_[shard] = best;
-    });
-    double best = std::numeric_limits<double>::infinity();
-    for (const double m : shard_min_) best = std::min(best, m);
-    if (best == std::numeric_limits<double>::infinity()) return false;
-
-    shard_batches_.resize(nshards);
-    pool.parallel_for(nshards, [&](std::size_t shard) {
-      const std::uint32_t lo = static_cast<std::uint32_t>(shard) * chunk;
-      const std::uint32_t hi = std::min(n, lo + chunk);
-      auto& local = shard_batches_[shard];
-      local.clear();
-      // Recomputed quotient — identical operands to the minimum sweep, so
-      // the tie compare is bit-exact (and no per-slot share array exists).
-      for (std::uint32_t s = lo; s < hi; ++s) {
-        if (slot_weight_[s] > kWeightEpsilon &&
-            slot_residual_[s] / slot_weight_[s] == best) {
-          local.push_back(slot_link_[s]);
-        }
-      }
-    });
-    batch_.clear();
-    for (const auto& local : shard_batches_) {
-      batch_.insert(batch_.end(), local.begin(), local.end());
     }
     share_out = best;
     return true;
@@ -535,30 +459,6 @@ class FairShareSolver {
     return true;
   }
 
-  /// rates[f] = share * weight(f) for every active flow — disjoint slots,
-  /// no accumulation, so pool chunking is bit-exact at any chunk count.
-  void broadcast_rates(const Ctx& ctx, std::span<const FlowIndex> flows,
-                       double share, std::span<double> rates,
-                       ThreadPool* pool) const {
-    const std::size_t n = flows.size();
-    if (pool == nullptr || n < 2 * kShardGrain) {
-      for (const FlowIndex f : flows) rates[f] = share * ctx.flow_weight(f);
-      return;
-    }
-    const std::size_t nshards =
-        std::min<std::size_t>(pool->size(), (n + kShardGrain - 1) /
-                                                kShardGrain);
-    const std::size_t chunk = (n + nshards - 1) / nshards;
-    pool->parallel_for(nshards, [&](std::size_t shard) {
-      const std::size_t lo = shard * chunk;
-      const std::size_t hi = std::min(n, lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const FlowIndex f = flows[i];
-        rates[f] = share * ctx.flow_weight(f);
-      }
-    });
-  }
-
   // All fixed-shape scratch is carved from one arena block (see resize()).
   // Slot arrays are compact over the live links of the CURRENT solve;
   // link_slot_, delta_, in_batch_ are indexed by global link id; frozen_
@@ -574,13 +474,10 @@ class FairShareSolver {
   std::span<std::uint8_t> in_batch_;  // held 0 between rounds
   std::span<std::uint8_t> frozen_;  // 0 / kFrozenOld / kFrozenNew
 
-  std::uint32_t nslots_ = 0;      // slots carved by the current solve
-  std::uint32_t live_slots_ = 0;  // shrinks under serial-scan compaction
+  std::uint32_t live_slots_ = 0;  // shrinks under scan compaction
   std::vector<LinkId> batch_;
   std::vector<LinkId> touched_;
   std::vector<Entry> heap_;
-  std::vector<double> shard_min_;
-  std::vector<std::vector<LinkId>> shard_batches_;
 };
 
 /// Standalone entry point: max-min rates for explicit paths over explicit

@@ -1,11 +1,9 @@
 #include "graph/distance_metrics.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nestflow {
 
@@ -70,7 +68,7 @@ DistanceReport exact_distance_report(const Graph& graph) {
 
 DistanceReport sampled_distance_report(const Graph& graph,
                                        std::uint32_t num_sources,
-                                       std::uint64_t seed, ThreadPool* pool) {
+                                       std::uint64_t seed) {
   const auto endpoints = endpoint_nodes(graph);
   if (endpoints.empty()) {
     throw std::invalid_argument("sampled_distance_report: no endpoints");
@@ -90,35 +88,24 @@ DistanceReport sampled_distance_report(const Graph& graph,
   Histogram histogram(kHistogramBins);
   NodeId global_farthest = sources.front();
   std::uint32_t best_ecc = 0;
-  std::mutex merge_mutex;
-
-  const auto process = [&](NodeId src) {
-    BfsScratch scratch;
+  BfsScratch scratch;
+  for (const NodeId src : sources) {
     scratch.run(graph, src);
     RunningStats local_stats;
     Histogram local_hist(kHistogramBins);
     const NodeId far = accumulate_endpoint_distances(
         graph, scratch.distances(), src, local_stats, local_hist);
-    std::lock_guard lock(merge_mutex);
     stats.merge(local_stats);
     histogram.merge(local_hist);
     if (local_stats.max() > best_ecc) {
       best_ecc = static_cast<std::uint32_t>(local_stats.max());
       global_farthest = far;
     }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(sources.size(),
-                       [&](std::size_t i) { process(sources[i]); });
-  } else {
-    for (const NodeId src : sources) process(src);
   }
 
   // Double sweep: BFS from the farthest endpoint found keeps extending the
   // diameter lower bound; on the regular graphs we build it reaches the true
   // diameter in one or two sweeps.
-  BfsScratch scratch;
   for (int sweep = 0; sweep < 2; ++sweep) {
     scratch.run(graph, global_farthest);
     RunningStats sweep_stats;
@@ -198,12 +185,11 @@ DistanceReport sampled_routed_report(
   return report;
 }
 
-DistanceReport auto_distance_report(const Graph& graph, std::uint64_t seed,
-                                    ThreadPool* pool) {
+DistanceReport auto_distance_report(const Graph& graph, std::uint64_t seed) {
   if (graph.num_endpoints() <= kAutoExactEndpointLimit) {
     return exact_distance_report(graph);
   }
-  return sampled_distance_report(graph, kAutoSampleSources, seed, pool);
+  return sampled_distance_report(graph, kAutoSampleSources, seed);
 }
 
 DistanceReport auto_routed_report(

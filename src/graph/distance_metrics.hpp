@@ -22,8 +22,6 @@
 
 namespace nestflow {
 
-class ThreadPool;
-
 struct DistanceReport {
   double average = 0.0;       // mean endpoint-to-endpoint hop distance
   std::uint32_t diameter = 0; // max observed (exact when `exact` is true)
@@ -39,11 +37,10 @@ struct DistanceReport {
 /// BFS from `num_sources` deterministically-sampled endpoint sources
 /// (all endpoints if num_sources >= endpoint count, making it exact).
 /// A double-sweep refinement chases the farthest endpoint found to tighten
-/// the diameter estimate. `pool` parallelises across sources when non-null.
+/// the diameter estimate.
 [[nodiscard]] DistanceReport sampled_distance_report(const Graph& graph,
                                                      std::uint32_t num_sources,
-                                                     std::uint64_t seed,
-                                                     ThreadPool* pool = nullptr);
+                                                     std::uint64_t seed);
 
 /// Path length (in hops) of the routing function for endpoint indices
 /// (src, dst); the callback must return the number of transit links.
@@ -74,8 +71,7 @@ inline constexpr std::uint64_t kAutoSamplePairs = 1ull << 16;
 
 /// Exact below kAutoExactEndpointLimit endpoints, seeded sampling above.
 [[nodiscard]] DistanceReport auto_distance_report(const Graph& graph,
-                                                  std::uint64_t seed,
-                                                  ThreadPool* pool = nullptr);
+                                                  std::uint64_t seed);
 
 /// Routed counterpart of auto_distance_report (same threshold).
 [[nodiscard]] DistanceReport auto_routed_report(

@@ -8,21 +8,13 @@
 
 namespace nestflow {
 
-namespace {
-// Worker identity for current_worker_index(). Keyed by pool pointer so a
-// worker of one pool reads kNotAWorker against any other pool, which keeps
-// nested pools (outer sweep, inner solver) from aliasing scratch slots.
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-thread_local std::size_t tls_worker_index = ThreadPool::kNotAWorker;
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -33,10 +25,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-std::size_t ThreadPool::current_worker_index() const noexcept {
-  return tls_worker_pool == this ? tls_worker_index : kNotAWorker;
 }
 
 void ThreadPool::post(std::function<void()> fn) {
@@ -50,9 +38,7 @@ void ThreadPool::post(std::function<void()> fn) {
   cv_.notify_one();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  tls_worker_pool = this;
-  tls_worker_index = index;
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -66,70 +52,36 @@ void ThreadPool::worker_loop(std::size_t index) {
   }
 }
 
-TaskGroup::~TaskGroup() {
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void TaskGroup::run(std::function<void()> fn) {
-  {
-    std::lock_guard lock(mutex_);
-    ++pending_;
-  }
-  try {
-    pool_.post([this, fn = std::move(fn)] {
-      std::exception_ptr err;
-      try {
-        fn();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard lock(mutex_);
-      if (err && !error_) error_ = std::move(err);
-      if (--pending_ == 0) done_cv_.notify_all();
-    });
-  } catch (...) {
-    // The pool refused the task (shutdown): undo the reservation so wait()
-    // and the destructor cannot hang, then surface the error to the caller.
-    std::lock_guard lock(mutex_);
-    --pending_;
-    throw;
-  }
-}
-
-void TaskGroup::wait() {
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-  if (error_) {
-    std::exception_ptr err = std::exchange(error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::size_t lanes = std::min(count, size());
-  TaskGroup group(*this);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    group.run([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
+  const auto lane = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
+    }
+  };
+  // Lanes catch per index, so their futures only ever carry completion.
+  const std::size_t num_lanes = std::min(count, size());
+  std::vector<std::future<void>> lanes;
+  lanes.reserve(num_lanes);
+  try {
+    for (std::size_t l = 0; l < num_lanes; ++l) lanes.push_back(submit(lane));
+  } catch (...) {
+    // Lanes already queued reference this frame: let them drain first.
+    for (auto& queued : lanes) queued.wait();
+    throw;
   }
-  group.wait();
+  for (auto& queued : lanes) queued.wait();
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,16 +1,8 @@
 // Fixed-size worker pool for fanning independent work out across cores.
 //
-// Two usage patterns share the one pool type:
-//   - The experiment driver runs one (topology, workload, config) cell per
-//     task; cells are deterministic on their own seeds, so parallel order
-//     never changes results.
-//   - The flow engine owns a pool across run() calls and fans the per-event
-//     rate re-solve out over independent components (see engine.cpp). For
-//     that, workers are *keep-alive*: idle workers sleep on a condition
-//     variable (no busy-wait, no respawn), so a pool that solves thousands
-//     of tiny per-event task batches stays cheap between batches, and
-//     worker identities — and hence per-worker scratch indexed by
-//     current_worker_index() — are stable for the pool's whole lifetime.
+// The experiment drivers run one (topology, workload, config) cell — or
+// one Monte Carlo trial — per task; cells are deterministic on their own
+// seeds, so parallel order never changes results.
 #pragma once
 
 #include <condition_variable>
@@ -26,9 +18,6 @@ namespace nestflow {
 
 class ThreadPool {
  public:
-  /// current_worker_index() result for threads that are not pool workers.
-  static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
-
   /// num_threads == 0 selects hardware_concurrency (min 1).
   explicit ThreadPool(std::size_t num_threads = 0);
 
@@ -39,13 +28,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Stable identity of the calling thread within this pool: a value in
-  /// [0, size()) when called from one of this pool's workers (the same
-  /// value for that worker's entire lifetime), kNotAWorker from any other
-  /// thread — including workers of *other* pools, so nested pools (outer
-  /// sweep pool, inner solver pool) never alias each other's scratch slots.
-  [[nodiscard]] std::size_t current_worker_index() const noexcept;
 
   /// Enqueues a task and returns its future. fn must be invocable with no
   /// arguments; exceptions propagate through the future.
@@ -59,10 +41,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Enqueues a detached task: no future, no per-task shared state — the
-  /// cheap path for high-frequency fan-out (TaskGroup rides on this).
-  void post(std::function<void()> fn);
-
   /// Runs fn(i) for i in [0, count) across the pool and blocks until all
   /// complete. Every index is attempted even after a failure; the first
   /// exception (if any) is rethrown once all indices have run.
@@ -70,50 +48,14 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t index);
+  void post(std::function<void()> fn);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-};
-
-/// Lightweight completion barrier over a ThreadPool: submit N tasks with
-/// run(), block until all have finished with wait(). Unlike submit(), no
-/// future/packaged_task is allocated per task — one mutex + counter serves
-/// the whole group, which is what makes per-event fan-out (a handful of
-/// component solves, thousands of times per run) affordable.
-///
-/// The first exception thrown by any task is captured and rethrown from
-/// wait(); later ones are dropped. A group is reusable: run() may be called
-/// again after wait() returns. wait() must not be called from a worker of
-/// the same pool (the waiting worker would deadlock the queue it is needed
-/// to drain).
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) noexcept : pool_(pool) {}
-
-  /// Blocks until every task has finished; pending exceptions are dropped
-  /// (call wait() first if you care about them).
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues fn on the pool as part of this group.
-  void run(std::function<void()> fn);
-
-  /// Blocks until every task submitted so far has completed, then rethrows
-  /// the first captured exception, if any.
-  void wait();
-
- private:
-  ThreadPool& pool_;
-  std::mutex mutex_;
-  std::condition_variable done_cv_;
-  std::size_t pending_ = 0;
-  std::exception_ptr error_;
 };
 
 }  // namespace nestflow

@@ -331,16 +331,13 @@ ChaosConfig make_chaos_config(std::uint64_t seed) {
   config.hop_latency_seconds = rng.next_bool(0.3) ? 1e-7 : 0.0;
   config.adaptive_routing = rng.next_bool(0.5);
   // Three retired engine switches (incremental solver, route cache, solve
-  // cache) drew here. Their draws are kept, the first still gating the
-  // thread-count draw, so every seed keeps its historical config on all
-  // remaining axes.
-  const bool draw_threads = rng.next_bool(0.75);
+  // cache) and the retired solver thread count drew here. Their draws are
+  // kept, the first still gating the thread-count draw, so every seed keeps
+  // its historical config on all remaining axes.
+  const bool drew_threads = rng.next_bool(0.75);
   (void)rng.next_bool(0.75);
   (void)rng.next_bool(0.75);
-  config.solver_threads =
-      draw_threads
-          ? static_cast<std::uint32_t>(std::array{1, 2, 4, 8}[rng.next_below(4)])
-          : 1u;
+  if (drew_threads) (void)rng.next_below(4);
   config.retry_backoff_seconds = rng.next_bool(0.5) ? 1e-4 : 0.0;
   config.record_flow_times = rng.next_bool(0.5);
 
@@ -390,7 +387,6 @@ std::string to_config_string(const ChaosConfig& config) {
   add("batch", fmt_double(config.completion_batch_rel));
   add("hoplat", fmt_double(config.hop_latency_seconds));
   add("adaptive", config.adaptive_routing ? "1" : "0");
-  add("threads", std::to_string(config.solver_threads));
   add("policy", policy_name(config.recovery_policy));
   add("backoff", fmt_double(config.retry_backoff_seconds));
   add("times", config.record_flow_times ? "1" : "0");
@@ -432,16 +428,16 @@ ChaosConfig parse_config_string(const std::string& text) {
       config.hop_latency_seconds = parse_f64(key, value);
     else if (key == "adaptive")
       config.adaptive_routing = parse_bool(key, value);
-    else if (key == "threads")
-      config.solver_threads = static_cast<std::uint32_t>(parse_u64(key, value));
     else if (key == "incremental" || key == "routecache" ||
-             key == "solvecache" || key == "strategy" || key == "dispatch")
+             key == "solvecache" || key == "strategy" || key == "dispatch" ||
+             key == "threads")
       // Knobs of engine paths that no longer exist: a reproducer carrying
-      // one predates the single-path engine and cannot replay as written.
+      // one predates the single-path serial engine and cannot replay as
+      // written.
       throw std::invalid_argument(
           "chaos config: key '" + std::string(key) +
-          "' is retired (FlowEngine has one solve and dispatch path); drop "
-          "it to replay against the reference engine");
+          "' is retired (FlowEngine has one serial solve and dispatch path); "
+          "drop it to replay against the reference engine");
     else if (key == "policy") config.recovery_policy = parse_policy(value);
     else if (key == "backoff")
       config.retry_backoff_seconds = parse_f64(key, value);
@@ -515,14 +511,10 @@ void run_chaos(const ChaosConfig& config) {
   const SimResult reference = run_trial<ReferenceEngine>(
       config, *topology, program, picks, options, run_kind, poisson_horizon);
 
-  // Variant: FlowEngine at the sampled thread count, audited per event.
-  // Same physics, so everything but the effort counters must be
-  // bit-identical.
-  EngineOptions variant_options = options;
-  variant_options.solver_threads = config.solver_threads;
+  // Variant: FlowEngine, audited per event. Same physics, so everything but
+  // the effort counters must be bit-identical.
   const SimResult variant = run_trial<FlowEngine>(
-      config, *topology, program, picks, variant_options, run_kind,
-      poisson_horizon);
+      config, *topology, program, picks, options, run_kind, poisson_horizon);
   compare_results("reference-vs-variant", reference, variant,
                   /*compare_fault_events=*/true);
 
@@ -531,8 +523,7 @@ void run_chaos(const ChaosConfig& config) {
   // scenario reports none).
   if (config.fault_mode == ChaosFaultMode::kStatic) {
     const SimResult timeline = run_trial<FlowEngine>(
-        config, *topology, program, picks, variant_options,
-        RunKind::kTimelineT0, 0.0);
+        config, *topology, program, picks, options, RunKind::kTimelineT0, 0.0);
     compare_results("static-vs-t0-timeline", variant, timeline,
                     /*compare_fault_events=*/false);
   }
@@ -570,7 +561,6 @@ ChaosConfig shrink_config(const ChaosConfig& config) {
       [](ChaosConfig& c) { c.completion_batch_rel = 0.0; },
       [](ChaosConfig& c) { c.adaptive_routing = false; },
       [](ChaosConfig& c) { c.retry_backoff_seconds = 0.0; },
-      [](ChaosConfig& c) { c.solver_threads = 1; },
       [](ChaosConfig& c) {
         if (c.tasks >= 8) c.tasks /= 2;
       },

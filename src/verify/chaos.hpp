@@ -13,10 +13,9 @@
 //
 //   1. a *reference* run on the ReferenceEngine (reference_engine.hpp):
 //      from-scratch routing and max-min re-solve every event, sharing none
-//      of FlowEngine's incremental solve, caches, dispatch kernel or
-//      sharding;
-//   2. a *variant* run — FlowEngine at the sampled solver thread count with
-//      the InvariantAuditor attached at per-event level — whose SimResult
+//      of FlowEngine's incremental solve, caches or dispatch kernel;
+//   2. a *variant* run — FlowEngine with the InvariantAuditor attached at
+//      per-event level — whose SimResult
 //      must be bit-identical to the reference except for the work counters
 //      (solver_rounds, cache hits/misses, phase timers) that measure effort
 //      rather than physics;
@@ -54,13 +53,11 @@ struct ChaosConfig {
   std::uint64_t workload_seed = 1;
   bool weighted = false;  // assign random flow weights in {1..4}
 
-  // Engine options shared by both runs; solver_threads applies to the
-  // variant (the reference engine is single-threaded).
+  // Engine options shared by both runs.
   double rate_quantum_rel = 0.0;
   double completion_batch_rel = 0.0;
   double hop_latency_seconds = 0.0;
   bool adaptive_routing = false;
-  std::uint32_t solver_threads = 1;
   RecoveryPolicy recovery_policy = RecoveryPolicy::kStrand;
   double retry_backoff_seconds = 0.0;
   bool record_flow_times = false;
@@ -84,7 +81,7 @@ struct ChaosConfig {
 [[nodiscard]] std::string to_config_string(const ChaosConfig& config);
 /// Inverse of to_config_string. Throws std::invalid_argument on bad input,
 /// including the retired keys of engine knobs that no longer exist
-/// (incremental, routecache, solvecache, strategy, dispatch).
+/// (incremental, routecache, solvecache, strategy, dispatch, threads).
 [[nodiscard]] ChaosConfig parse_config_string(const std::string& text);
 
 /// The single line a failing trial prints: paste it back to reproduce.

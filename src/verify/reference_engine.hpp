@@ -6,10 +6,9 @@
 // everything: all active flows go through the standalone maxmin_fair_rates
 // from scratch, every flow is re-checked for a rate change, and the
 // earliest finish and the completion batch come from a full sweep. There
-// is no incremental component solve, no route or solve cache, no dispatch
-// index, no sharding and no thread pool — so a bug in any of those
-// FlowEngine layers shows up as a difference instead of being shared by
-// both sides of the comparison.
+// is no incremental component solve, no route or solve cache and no
+// dispatch index — so a bug in any of those FlowEngine layers shows up as a
+// difference instead of being shared by both sides of the comparison.
 //
 // What it shares with FlowEngine: the topology's routing function
 // (Topology::try_route), the max-min kernel (through maxmin_fair_rates,
@@ -35,7 +34,7 @@
 //
 // Work counters (solver_rounds, cache hits and misses) stay zero; the phase
 // timers route_seconds, solve_seconds and dispatch_seconds are filled when
-// EngineOptions::time_solver is set. audit_level, solver_threads and
+// EngineOptions::time_solver is set. audit_level and
 // solve_cache_budget_words are ignored.
 #pragma once
 

@@ -65,7 +65,8 @@ TEST(Chaos, ParseRejectsRetiredEngineKnobs) {
   // Keys of engine switches that no longer exist must fail loudly and say
   // why, not read as typos.
   for (const std::string key :
-       {"incremental", "routecache", "solvecache", "strategy", "dispatch"}) {
+       {"incremental", "routecache", "solvecache", "strategy", "dispatch",
+        "threads"}) {
     try {
       (void)verify::parse_config_string("seed=1;" + key + "=1");
       ADD_FAILURE() << key << " was accepted";

@@ -1,16 +1,13 @@
-// Differential suite: FlowEngine at solver_threads 0, 1, 2, 4 and 8 against
-// the ReferenceEngine (src/verify/reference_engine.hpp), which re-routes
-// every activation and re-solves every active flow from scratch each event
-// and shares none of FlowEngine's incremental solve, route and solve
-// caches, dispatch kernel or sharding.
+// Differential suite: FlowEngine against the ReferenceEngine
+// (src/verify/reference_engine.hpp), which re-routes every activation and
+// re-solves every active flow from scratch each event and shares none of
+// FlowEngine's incremental solve, route and solve caches or dispatch
+// kernel.
 //
 // Every physical SimResult field, per-flow finish times included, must be
 // equal with plain == across all eleven paper workloads on seven topology
 // families, quantisation with hop latency, static faults, a fault timeline
-// under each recovery policy, weighted flows and warm replays. The work
-// counters (solver rounds, route- and solve-cache hits and misses) have no
-// reference counterpart; they must instead be equal across every thread
-// count, 1 included.
+// under each recovery policy, weighted flows and warm replays.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,7 +32,6 @@ namespace {
 
 using verify::ReferenceEngine;
 
-constexpr std::uint32_t kThreadCounts[] = {0, 1, 2, 4, 8};
 constexpr double kBps = kDefaultLinkBps;
 
 const std::vector<std::string>& family_specs() {
@@ -95,15 +91,6 @@ void expect_identical(const SimResult& a, const SimResult& b,
   }
 }
 
-void expect_same_counters(const SimResult& a, const SimResult& b,
-                          const std::string& context) {
-  EXPECT_EQ(a.solver_rounds, b.solver_rounds) << context;
-  EXPECT_EQ(a.route_cache_hits, b.route_cache_hits) << context;
-  EXPECT_EQ(a.route_cache_misses, b.route_cache_misses) << context;
-  EXPECT_EQ(a.solve_cache_hits, b.solve_cache_hits) << context;
-  EXPECT_EQ(a.solve_cache_misses, b.solve_cache_misses) << context;
-}
-
 /// Deterministic routing (so the route and solve caches engage) with
 /// per-flow finish times recorded.
 EngineOptions differential_options(EngineOptions options) {
@@ -112,35 +99,26 @@ EngineOptions differential_options(EngineOptions options) {
   return options;
 }
 
-/// Runs `run(options)` on the reference and on FlowEngine at every thread
-/// count: physics against the reference, counters against threads = 0.
-/// `run` builds its own engine of the given type (fault timelines mutate
-/// the fault model, so every run needs fresh fault state).
+/// Runs `run(options)` on the reference and on FlowEngine and checks that
+/// the physics agree; returns FlowEngine's result. `run` builds its own
+/// engine of the given type (fault timelines mutate the fault model, so
+/// every run needs fresh fault state).
 template <typename Run>
-std::vector<SimResult> check_thread_counts(const std::string& context,
-                                           EngineOptions options, Run&& run) {
+SimResult check_against_reference(const std::string& context,
+                                  EngineOptions options, Run&& run) {
   options = differential_options(options);
   const SimResult want = run.template operator()<ReferenceEngine>(options);
-  std::vector<SimResult> results;
-  for (const std::uint32_t threads : kThreadCounts) {
-    options.solver_threads = threads;
-    results.push_back(run.template operator()<FlowEngine>(options));
-    const std::string where =
-        context + " @ solver_threads=" + std::to_string(threads);
-    expect_identical(want, results.back(), where);
-    expect_same_counters(results.front(), results.back(), where);
-  }
-  return results;
+  SimResult got = run.template operator()<FlowEngine>(options);
+  expect_identical(want, got, context);
+  return got;
 }
 
-/// check_thread_counts for a static scenario: `faults` (if any) applied as
-/// capacity factors before the run.
-std::vector<SimResult> check_static(const Topology& topology,
-                                    const TrafficProgram& program,
-                                    const std::string& context,
-                                    EngineOptions options = {},
-                                    const FaultModel* faults = nullptr) {
-  return check_thread_counts(
+/// check_against_reference for a static scenario: `faults` (if any) applied
+/// as capacity factors before the run.
+SimResult check_static(const Topology& topology, const TrafficProgram& program,
+                       const std::string& context, EngineOptions options = {},
+                       const FaultModel* faults = nullptr) {
+  return check_against_reference(
       context, options,
       [&]<typename Engine>(const EngineOptions& engine_options) {
         Engine engine(topology, engine_options);
@@ -149,7 +127,7 @@ std::vector<SimResult> check_static(const Topology& topology,
       });
 }
 
-TEST(ParallelSolve, BitIdenticalAcrossWorkloadsAndFamilies) {
+TEST(Differential, BitIdenticalAcrossWorkloadsAndFamilies) {
   for (const auto& family : family_specs()) {
     const auto topo = make_topology(family);
     for (const auto& spec : all_workload_names()) {
@@ -160,7 +138,7 @@ TEST(ParallelSolve, BitIdenticalAcrossWorkloadsAndFamilies) {
   }
 }
 
-TEST(ParallelSolve, BitIdenticalWithQuantizationAndLatency) {
+TEST(Differential, BitIdenticalWithQuantizationAndLatency) {
   // Quantisation forces frequent whole-set rate changes; hop latency
   // exercises the max(latency, transfer) branch of the predicted finish
   // times the dispatch index orders by.
@@ -178,7 +156,7 @@ TEST(ParallelSolve, BitIdenticalWithQuantizationAndLatency) {
   }
 }
 
-TEST(ParallelSolve, BitIdenticalUnderFaults) {
+TEST(Differential, BitIdenticalUnderFaults) {
   for (const auto& family : family_specs()) {
     const auto plain = make_topology(family);
     for (const std::uint64_t seed : {7ull, 8ull}) {
@@ -196,14 +174,12 @@ TEST(ParallelSolve, BitIdenticalUnderFaults) {
         // dynamic, so both caches sit out.
         EngineOptions options;
         options.recovery_policy = RecoveryPolicy::kReroute;
-        const auto results = check_static(
+        const SimResult result = check_static(
             routed, generate(routed, spec), where + " fault-aware", options,
             &faults);
-        EXPECT_EQ(results[0].route_cache_hits + results[0].route_cache_misses,
-                  0u)
+        EXPECT_EQ(result.route_cache_hits + result.route_cache_misses, 0u)
             << where;
-        EXPECT_EQ(results[0].solve_cache_hits + results[0].solve_cache_misses,
-                  0u)
+        EXPECT_EQ(result.solve_cache_hits + result.solve_cache_misses, 0u)
             << where;
       }
     }
@@ -213,25 +189,25 @@ TEST(ParallelSolve, BitIdenticalUnderFaults) {
 /// Weighted flows are not bit-exactly exchangeable inside a solver round,
 /// so the solve cache sits out; the route cache is weight-oblivious and
 /// stays engaged.
-TEST(ParallelSolve, BitIdenticalWithWeightedFlows) {
+TEST(Differential, BitIdenticalWithWeightedFlows) {
   for (const std::string family : {"nestghc:64,2,2", "fattree:4,4"}) {
     const auto topo = make_topology(family);
     TrafficProgram program = generate(*topo, "unstructured-app");
     for (FlowIndex f = 0; f < program.num_flows(); f += 3) {
       program.set_flow_weight(f, 4.0);
     }
-    const auto results =
+    const SimResult result =
         check_static(*topo, program, family + " weighted unstructured-app");
-    EXPECT_EQ(results[0].solve_cache_hits + results[0].solve_cache_misses, 0u)
+    EXPECT_EQ(result.solve_cache_hits + result.solve_cache_misses, 0u)
         << family;
-    EXPECT_GT(results[0].route_cache_hits, 0u) << family;
+    EXPECT_GT(result.route_cache_hits, 0u) << family;
   }
 }
 
 /// Fault and repair events interleaved with completions: mid-run capacity
 /// edits on the dirty tracking, and every recovery policy's enumeration
 /// order.
-TEST(ParallelSolve, TimelineRunsBitIdenticalAcrossThreadCounts) {
+TEST(Differential, TimelineRunsBitIdenticalToReference) {
   struct PolicyCase {
     RecoveryPolicy policy;
     const char* name;
@@ -266,7 +242,7 @@ TEST(ParallelSolve, TimelineRunsBitIdenticalAcrossThreadCounts) {
       options.recovery_policy = pc.policy;
       options.retry_backoff_seconds = healthy / 8.0;
       options.max_retries = 2;
-      const auto results = check_thread_counts(
+      const SimResult result = check_against_reference(
           family + " [" + pc.name + "]", options,
           [&]<typename Engine>(const EngineOptions& engine_options) {
             FaultModel faults(topo->graph());
@@ -278,7 +254,7 @@ TEST(ParallelSolve, TimelineRunsBitIdenticalAcrossThreadCounts) {
             Engine engine(net, engine_options);
             return engine.run(program, driver);
           });
-      EXPECT_GT(results[0].fault_events_applied, 0u) << family << pc.name;
+      EXPECT_GT(result.fault_events_applied, 0u) << family << pc.name;
     }
   }
 }
@@ -286,14 +262,13 @@ TEST(ParallelSolve, TimelineRunsBitIdenticalAcrossThreadCounts) {
 /// The route and solve caches persist across run() calls on one engine;
 /// warm runs must replay the reference exactly and route and solve entirely
 /// from cache.
-TEST(ParallelSolve, WarmRunsReplayColdRunExactly) {
+TEST(Differential, WarmRunsReplayColdRunExactly) {
   for (const std::string family : {"nestghc:64,2,2", "fattree:4,4"}) {
     const auto topo = make_topology(family);
     for (const std::string spec : {"sweep3d", "nearneighbors", "allreduce"}) {
       const TrafficProgram program = generate(*topo, spec);
       const std::string context = family + " x " + spec;
-      std::vector<SimResult> warm_runs;
-      check_thread_counts(
+      check_against_reference(
           context, {},
           [&]<typename Engine>(const EngineOptions& options) {
             Engine engine(*topo, options);
@@ -302,8 +277,7 @@ TEST(ParallelSolve, WarmRunsReplayColdRunExactly) {
               EXPECT_GT(cold.solve_cache_hits + cold.solve_cache_misses, 0u)
                   << context;
               for (int warm = 0; warm < 2; ++warm) {
-                warm_runs.push_back(engine.run(program));
-                const SimResult& again = warm_runs.back();
+                const SimResult again = engine.run(program);
                 expect_identical(cold, again, context + " (warm)");
                 EXPECT_EQ(again.route_cache_misses, 0u) << context;
                 EXPECT_EQ(again.solve_cache_misses, 0u) << context;
@@ -312,11 +286,6 @@ TEST(ParallelSolve, WarmRunsReplayColdRunExactly) {
             }
             return cold;
           });
-      // Two warm runs per thread count: the k-th of each must agree.
-      for (std::size_t i = 2; i < warm_runs.size(); ++i) {
-        expect_same_counters(warm_runs[i % 2], warm_runs[i],
-                             context + " (warm counters)");
-      }
     }
   }
 }
@@ -364,12 +333,11 @@ TEST(DispatchZeroRate, TimelineZeroRateFlowSurvivesTheScan) {
   // rate 0 with bytes remaining. The scan must not divide 0 bytes/s into
   // the residual (inf/NaN finish time) — the zero-rate guard hands the
   // flow to recovery instead.
-  const auto results = check_thread_counts(
+  const SimResult result = check_against_reference(
       "mid-transfer kill", {},
       [&]<typename Engine>(const EngineOptions& options) {
         return run_ring_timeline<Engine>(0.25, kBps, options);
       });
-  const SimResult& result = results[0];
   EXPECT_EQ(result.stranded_flows, 1u);
   // Stranding charges the flow's whole payload as undelivered (the partial
   // transfer is not counted as goodput), matching the FaultTimeline
@@ -387,12 +355,11 @@ TEST(DispatchZeroRate, ZeroRateLatencyTailStillCompletes) {
   // latency alone at t = 1.0.
   EngineOptions options;
   options.hop_latency_seconds = 1.0;
-  const auto results = check_thread_counts(
+  const SimResult result = check_against_reference(
       "latency tail", options,
       [&]<typename Engine>(const EngineOptions& engine_options) {
         return run_ring_timeline<Engine>(0.7, 0.5 * kBps, engine_options);
       });
-  const SimResult& result = results[0];
   EXPECT_EQ(result.stranded_flows, 0u);
   EXPECT_DOUBLE_EQ(result.undelivered_bytes, 0.0);
   EXPECT_NEAR(result.makespan, 1.0, 1e-9);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "topo/torus.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nestflow {
 namespace {
@@ -41,16 +40,6 @@ TEST(DistanceMetrics, SampledApproximatesExact) {
   const auto sampled = sampled_distance_report(torus.graph(), 64, 7);
   EXPECT_EQ(sampled.diameter, exact.diameter);  // double sweep finds it
   EXPECT_NEAR(sampled.average, exact.average, 0.05 * exact.average);
-}
-
-TEST(DistanceMetrics, SampledWithThreadPoolMatchesSerial) {
-  const TorusTopology torus({8, 8});
-  ThreadPool pool(4);
-  const auto serial = sampled_distance_report(torus.graph(), 16, 3);
-  const auto parallel = sampled_distance_report(torus.graph(), 16, 3, &pool);
-  EXPECT_DOUBLE_EQ(serial.average, parallel.average);
-  EXPECT_EQ(serial.diameter, parallel.diameter);
-  EXPECT_EQ(serial.pairs, parallel.pairs);
 }
 
 TEST(DistanceMetrics, DisconnectedEndpointsThrow) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace nestflow {
 namespace {
 
@@ -157,50 +155,6 @@ TEST(SimulationSweep, RejectsEmptyWorkloads) {
   SimulationSweepConfig config;
   config.num_nodes = 128;
   EXPECT_THROW((void)run_simulation_sweep(config), std::invalid_argument);
-}
-
-TEST(ThreadArbitration, ManyCellsClaimTheWholeBudget) {
-  // 26 cells against an 8-thread budget: cells saturate it alone, so the
-  // engines get no solver threads.
-  const auto [outer, inner] = arbitrate_thread_budget(26, 8, 0);
-  EXPECT_EQ(outer, 8u);
-  EXPECT_EQ(inner, 1u);
-}
-
-TEST(ThreadArbitration, SingleCellHandsBudgetToTheSolver) {
-  const auto [outer, inner] = arbitrate_thread_budget(1, 8, 0);
-  EXPECT_EQ(outer, 1u);
-  EXPECT_EQ(inner, 8u);
-}
-
-TEST(ThreadArbitration, ExplicitInnerRequestIsClampedToBudget) {
-  // 2 cells over 8 threads leave 4 per cell; a request for 16 solver
-  // threads must be clamped so outer x inner stays within budget.
-  const auto [outer, inner] = arbitrate_thread_budget(2, 8, 16);
-  EXPECT_EQ(outer, 2u);
-  EXPECT_EQ(inner, 4u);
-}
-
-TEST(ThreadArbitration, ExplicitInnerRequestBelowLeftoverIsHonoured) {
-  const auto [outer, inner] = arbitrate_thread_budget(1, 8, 2);
-  EXPECT_EQ(outer, 1u);
-  EXPECT_EQ(inner, 2u);
-}
-
-TEST(ThreadArbitration, ProductNeverExceedsBudget) {
-  for (std::size_t cells : {1ul, 2ul, 3ul, 7ul, 26ul, 100ul}) {
-    for (std::uint32_t budget : {1u, 2u, 4u, 8u, 13u}) {
-      for (std::uint32_t requested : {0u, 1u, 4u, 64u}) {
-        const auto [outer, inner] =
-            arbitrate_thread_budget(cells, budget, requested);
-        EXPECT_GE(outer, 1u);
-        EXPECT_GE(inner, 1u);
-        EXPECT_LE(outer * inner, std::max(budget, 1u))
-            << cells << " cells, budget " << budget << ", requested inner "
-            << requested;
-      }
-    }
-  }
 }
 
 TEST(SimulationSweep, DeterministicAcrossThreadCounts) {

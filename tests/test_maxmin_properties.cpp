@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nestflow {
 namespace {
@@ -189,8 +188,8 @@ TEST(MaxminProperties, UnsharedFlowsGetFullCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential pinning of the kernelized solver (scan with heap fallback,
-// serial and pool-sharded) against a VERBATIM copy of the pre-kernel
+// Differential pinning of the kernelized solver (scan with heap fallback)
+// against a VERBATIM copy of the pre-kernel
 // solver. The header argues they are bit-identical; these tests make the
 // argument empirical: the kernel, and the maxmin_fair_rates entry point the
 // ReferenceEngine solves with, must reproduce the old solver's rates (and
@@ -389,14 +388,13 @@ struct SolveResult {
   std::uint64_t rounds = 0;
 };
 
-SolveResult solve_kernel(const Instance& inst, ThreadPool* pool = nullptr) {
+SolveResult solve_kernel(const Instance& inst) {
   const SolveInputs in = build_inputs(inst);
   FairShareSolver<CsrContext> solver;
   solver.resize(inst.capacities.size(), inst.paths.size());
   SolveResult r;
   r.rates.assign(inst.paths.size(), 0.0);
-  r.rounds =
-      solver.solve(in.ctx, in.used, in.weight_sums, in.active, r.rates, pool);
+  r.rounds = solver.solve(in.ctx, in.used, in.weight_sums, in.active, r.rates);
   return r;
 }
 
@@ -539,11 +537,10 @@ TEST(MaxminKernel, AutoSwitchesMidSolveAndStaysBitIdentical) {
   expect_bottlenecked(inst, r.rates);
 }
 
-TEST(MaxminKernel, ShardedSolveIsBitIdenticalToSerial) {
-  // 131072 live links = 2 * the solver's shard grain, the floor at which a
-  // pooled solve actually shards its scans. Two capacity classes keep the
-  // round count tiny (every sweep is a huge tie batch), and a sprinkling
-  // of two-hop flows exercises delta accumulation between sharded rounds.
+TEST(MaxminKernel, GiantTieBatchInstanceMatchesPr6Reference) {
+  // 131072 live links. Two capacity classes keep the round count tiny
+  // (every sweep is a huge tie batch), and a sprinkling of two-hop flows
+  // exercises delta accumulation between rounds.
   constexpr std::size_t kLinks = 131072;
   Instance inst;
   inst.capacities.resize(kLinks);
@@ -558,18 +555,16 @@ TEST(MaxminKernel, ShardedSolveIsBitIdenticalToSerial) {
   }
   inst.weights.assign(inst.paths.size(), 1.0);
 
-  const SolveResult serial = solve_kernel(inst);
-  ThreadPool pool(4);
-  const SolveResult sharded = solve_kernel(inst, &pool);
-  expect_identical(sharded, serial, "sharded vs serial", kLinks);
-  expect_feasible(inst, serial.rates);
-  expect_bottlenecked(inst, serial.rates);
+  expect_matches_pr6(inst, kLinks);
+  const SolveResult r = solve_kernel(inst);
+  expect_feasible(inst, r.rates);
+  expect_bottlenecked(inst, r.rates);
 }
 
-TEST(MaxminKernel, ShardedBroadcastIsBitIdenticalToSerial) {
+TEST(MaxminKernel, GiantBroadcastInstanceMatchesPr6Reference) {
   // Fully symmetric giant instance: every slot ties in round one, so the
-  // pooled path runs one sharded sweep + harvest and then the sharded
-  // broadcast rate write. Every flow must land exactly on its capacity.
+  // kernel takes the first-round broadcast shortcut. Every flow must land
+  // exactly on its capacity.
   constexpr std::size_t kLinks = 131072;
   Instance inst;
   inst.capacities.assign(kLinks, 8.0);
@@ -579,11 +574,8 @@ TEST(MaxminKernel, ShardedBroadcastIsBitIdenticalToSerial) {
   }
   inst.weights.assign(kLinks, 1.0);
 
-  const SolveResult serial = solve_kernel(inst);
-  ThreadPool pool(4);
-  const SolveResult sharded = solve_kernel(inst, &pool);
-  expect_identical(sharded, serial, "sharded broadcast vs serial", kLinks);
-  for (const double r : serial.rates) EXPECT_EQ(r, 8.0);
+  expect_matches_pr6(inst, kLinks);
+  for (const double r : solve_kernel(inst).rates) EXPECT_EQ(r, 8.0);
 }
 
 }  // namespace

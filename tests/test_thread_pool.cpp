@@ -95,96 +95,5 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   EXPECT_EQ(done.load(), 50);
 }
 
-TEST(ThreadPool, WorkerIndexStableAndInRange) {
-  ThreadPool pool(3);
-  constexpr int kRounds = 200;
-  // Each task records the index it observed; every observation must be in
-  // [0, size()) and the set of observed indices must never exceed size().
-  std::vector<std::future<std::size_t>> futures;
-  futures.reserve(kRounds);
-  for (int i = 0; i < kRounds; ++i) {
-    futures.push_back(
-        pool.submit([&pool] { return pool.current_worker_index(); }));
-  }
-  for (auto& f : futures) {
-    const std::size_t index = f.get();
-    EXPECT_LT(index, pool.size());
-  }
-}
-
-TEST(ThreadPool, WorkerIndexIsNotAWorkerOutside) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.current_worker_index(), ThreadPool::kNotAWorker);
-}
-
-TEST(ThreadPool, WorkerIndexDoesNotAliasAcrossPools) {
-  // A worker of pool A asking pool B for its index must get kNotAWorker —
-  // nested pools (sweep pool outside, solver pool inside) must never read
-  // each other's per-worker scratch slots.
-  ThreadPool outer(2);
-  ThreadPool inner(2);
-  auto future = outer.submit([&] {
-    const bool own_ok = outer.current_worker_index() < outer.size();
-    const bool other_ok =
-        inner.current_worker_index() == ThreadPool::kNotAWorker;
-    return own_ok && other_ok;
-  });
-  EXPECT_TRUE(future.get());
-}
-
-TEST(ThreadPool, TaskGroupWaitsForAllTasks) {
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    group.run([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.wait();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, TaskGroupPropagatesFirstException) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  for (int i = 0; i < 10; ++i) {
-    group.run([i] {
-      if (i == 3) throw std::runtime_error("task 3 failed");
-    });
-  }
-  EXPECT_THROW(group.wait(), std::runtime_error);
-}
-
-TEST(ThreadPool, TaskGroupIsReusableAfterWait) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> done{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      group.run([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    group.wait();
-    EXPECT_EQ(done.load(), (round + 1) * 20);
-  }
-}
-
-TEST(ThreadPool, TaskGroupWaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.wait();  // must not hang
-}
-
-TEST(ThreadPool, PostRunsDetachedTasks) {
-  // post() has no completion handle; the pool destructor's drain-then-join
-  // is the observation point.
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.post([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(done.load(), 50);
-}
-
 }  // namespace
 }  // namespace nestflow
