@@ -138,6 +138,33 @@ TEST(Differential, BitIdenticalAcrossWorkloadsAndFamilies) {
   }
 }
 
+/// The engine settings of the paper drivers (bench/figure_common.hpp) and
+/// of the benchmark's figure-cold workload, adaptive routing included —
+/// the configuration the reproduction actually runs, which
+/// differential_options() would otherwise switch to deterministic routing.
+TEST(Differential, BitIdenticalAtFigureSettings) {
+  for (const bool adaptive : {true, false}) {
+    EngineOptions options;
+    options.rate_quantum_rel = 0.01;
+    options.completion_batch_rel = 1e-3;
+    options.hop_latency_seconds = 1e-6;
+    options.adaptive_routing = adaptive;
+    options.record_flow_times = true;
+    for (const auto& family : family_specs()) {
+      const auto topo = make_topology(family);
+      for (const auto& spec : all_workload_names()) {
+        const auto program = try_generate(*topo, spec);
+        if (!program) continue;
+        ReferenceEngine reference(*topo, options);
+        FlowEngine engine(*topo, options);
+        expect_identical(reference.run(*program), engine.run(*program),
+                         family + " x " + spec +
+                             (adaptive ? " (adaptive)" : " (deterministic)"));
+      }
+    }
+  }
+}
+
 TEST(Differential, BitIdenticalWithQuantizationAndLatency) {
   // Quantisation forces frequent whole-set rate changes; hop latency
   // exercises the max(latency, transfer) branch of the predicted finish
