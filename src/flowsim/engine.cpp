@@ -187,6 +187,7 @@ bool FlowEngine::activate(FlowIndex f, double now, SimResult& result) {
   path_offset_[f] = offset;
   path_length_[f] = static_cast<std::uint16_t>(len);
   state_[f] = FlowState::kActive;
+  solve_log_valid_ = false;  // a resume only handles departures
 
   // Claim the next dispatch slot (slot index == position in active_flows_).
   // Growth is manual 1.25x instead of the vector's doubling: at million-
@@ -251,6 +252,7 @@ void FlowEngine::complete(FlowIndex f, double now,
   // A completed flow delivered exactly its payload across every link of its
   // path; accounting once here is equivalent to (and much cheaper than)
   // accumulating rate*dt per event.
+  if (solve_log_valid_) departed_.push_back(f);
   const FlowSpec& spec = program_->flows()[f];  // unchecked: f is active
   const double bytes = spec.bytes;
   const double weight = spec.weight;
@@ -293,6 +295,7 @@ void FlowEngine::detach_from_network(FlowIndex f) {
   // Undo the link occupancy activate() charged. Bytes the flow moved before
   // the teardown are not credited to this path: link_bytes_ counts payload
   // against the path that finally delivers it (see complete()).
+  solve_log_valid_ = false;  // f may come back on another path
   const double weight = program_->flow(f).weight;
   for (const LinkId l : path_view(f)) {
     if (--link_active_count_[l] == 0) --num_active_links_;
@@ -603,6 +606,7 @@ void FlowEngine::apply_due_fault_events(FaultDriver& driver, double now,
     if (capacity == link_capacity_[link]) continue;
     link_capacity_[link] = capacity;
     mark_dirty(link);
+    solve_log_valid_ = false;
   }
 }
 
@@ -953,19 +957,18 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   // on a static-route topology are pure functions of (src, dst), so repeated
   // programs on one engine (sweep and ablation drivers, repeated phases)
   // route straight from cache on every run after the first.
-  solve_cache_active_ = route_cache_active_;
-  if (solve_cache_active_) {
-    // Equal-weight flows are bit-exactly exchangeable inside a solver
-    // freeze round (identical subtrahends commute in floating point);
-    // weighted ones are not, and memoized rates could then differ from a
-    // fresh solve. Keep the bit-identity contract by sitting out.
-    for (FlowIndex f = 0; f < n; ++f) {
-      if (program.flow(f).weight != 1.0) {
-        solve_cache_active_ = false;
-        break;
-      }
-    }
-  }
+  // Equal-weight flows are bit-exactly exchangeable inside a solver freeze
+  // round (identical subtrahends commute in floating point), and unit
+  // weights keep every link weight sum an integer; weighted ones are
+  // neither, so memoized rates could differ from a fresh solve and a
+  // warm-started solve could not rebuild link weights exactly. Both sit
+  // out weighted runs to keep the bit-identity contract.
+  unit_weights_ = std::all_of(
+      program.flows().begin(), program.flows().end(),
+      [](const FlowSpec& spec) { return spec.weight == 1.0; });
+  solve_cache_active_ = route_cache_active_ && unit_weights_;
+  solve_log_valid_ = false;
+  departed_.clear();
   solve_insert_armed_ = false;
   whole_probe_misses_ = 0;
   // whole_set_hint_ deliberately persists across runs: a steady-state
@@ -1137,8 +1140,14 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // Threshold: most of the live fabric dirty (giant completion batches:
     // the mapreduce shuffle dirties nearly every link every event) means
     // the component BFS would walk the whole incidence only to rediscover
-    // "everything" — solve the whole active set directly.
-    bool whole = 2 * dirty_links_.size() >= num_active_links_;
+    // "everything" — solve the whole active set directly. Likewise when
+    // only flows left since the last whole-set solve and the solve cache
+    // is off: resuming that solve's round log (below) beats the walk, which
+    // on the paper's workloads percolates to the whole set and bails anyway
+    // (DESIGN.md §6). With the cache on, the walk decides as before, so
+    // the cache keys — and warm replays' hits — stay what they were.
+    bool whole = (solve_log_valid_ && !solve_cache_active_) ||
+                 2 * dirty_links_.size() >= num_active_links_;
     bool cache_hit = false;
     bool cache_probed = false;  // try_cached_whole_solve ran this event
     if (!whole && solve_cache_active_ && whole_set_hint_ &&
@@ -1183,21 +1192,29 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
           cache_hit = try_cached_whole_solve(result);
         }
         if (!cache_hit) {
+          // Only flows left since the last whole-set solve: resume its
+          // round log above the earliest round a departed flow froze in
+          // (DESIGN.md §11) — the same rates a fresh solve computes.
           result.solver_rounds +=
-              solver_.solve(ctx, used_links_, link_weight_sum_, active_flows_,
-                            rates_);
+              solve_log_valid_
+                  ? solver_.resume(ctx, departed_, active_flows_, rates_)
+                  : solver_.solve(ctx, used_links_, link_weight_sum_,
+                                  active_flows_, rates_);
           // Memoize BEFORE quantisation: the quantiser below is a pure
           // per-flow function, so replaying raw rates through it on a
           // future hit lands on identical quantised values.
           if (solve_insert_armed_) solve_cache_insert();
         }
       }
+      solve_log_valid_ = unit_weights_ && !cache_hit;
     } else {
       // Per-component ranges, memoized (still BEFORE quantisation) as each
       // is solved.
       solve_components(result);
       solved = affected_flows_;
+      solve_log_valid_ = false;
     }
+    departed_.clear();
     if (options_.time_solver) {
       result.solve_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

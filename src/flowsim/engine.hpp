@@ -159,10 +159,12 @@ struct SimResult {
   double total_bytes = 0.0;    // payload delivered
   std::uint64_t num_flows = 0; // data flows executed
   std::uint64_t events = 0;    // completion rounds
-  /// Bottleneck-freeze iterations in total. Together with the cache
-  /// counters below, these count the solver work actually performed, not
-  /// physics: a from-scratch re-solve (src/verify/reference_engine.hpp)
-  /// reaches the same rates with more of it.
+  /// Bottleneck links the solver froze, summed over its rounds (a round
+  /// that freezes a batch of tied links counts each). Together with the
+  /// cache counters below, these count the solver work actually performed,
+  /// not physics: a from-scratch re-solve (src/verify/reference_engine.hpp)
+  /// reaches the same rates with more of it, and warm-started solves
+  /// (DESIGN.md §11) lower it while every physical field stays identical.
   std::uint64_t solver_rounds = 0;
   /// Flow activations served from / missed by the route cache. Both zero
   /// whenever the cache is inactive (adaptive routing on, or dynamic routes
@@ -705,6 +707,14 @@ class FlowEngine {
   /// Restart-backoff retries park here too (at now + backoff).
   std::vector<std::pair<double, FlowIndex>> release_queue_;  // min-heap
   FairShareSolver<EngineContext> solver_;
+  /// True while solver_'s round log describes the active set as of the last
+  /// whole-set solve plus the departures in departed_, so the next
+  /// whole-set solve may resume it (DESIGN.md §11). Needs unit weights;
+  /// cleared by any activation, detach, capacity change, component solve
+  /// or whole-set solve-cache hit.
+  bool solve_log_valid_ = false;
+  bool unit_weights_ = false;  // every flow weight of this run is 1
+  std::vector<FlowIndex> departed_;  // completed since the last solve
   Path route_scratch_;
   std::vector<FlowIndex> cancel_stack_;  // scratch for cancel_descendants
 

@@ -103,11 +103,38 @@
 // global minimum share removes weight_f * share* <= cap_l * w_f / W_l from
 // link l, so (cap - w*share*)/(W - w) >= cap/W.
 //
+// Warm start. solve() logs every round: its share, the residual each slot
+// it wrote held before the round and the weight the round removed from it,
+// and the flows it froze. resume() re-solves after flows only LEFT the set
+// of the last solve()/resume(), with unit weights and nothing else changed.
+// Lemma: let k be the earliest round that froze a departed flow. Every
+// round j < k repeats bit for bit without the departed flows. A departed
+// flow is unfrozen through round j, so none of its links is in batch j
+// (every active flow on a batch link freezes in that round); their fresh
+// shares are strictly above round j's minimum (ties are harvested); and
+// removing the departed weight only raises them further (r/(w-m) >= r/w
+// holds in floating point too: the quotient rounds monotonically) or
+// leaves a link no weight at all, which drops it from the search. No
+// departed flow contributed a delta before round k, so every other
+// link's residual and weight — and every rate and delta of round j — are
+// the same floating-point operations on the same operands. resume()
+// therefore rolls the slots back to the start of round k, subtracts the
+// departed weight (integer weight sums, so in any order, exactly), hands
+// back the raw rates of the flows frozen before round k (callers may round
+// rates in place) and continues the round loop from there. Rounds are
+// indexed by order, not share, so this needs no monotonicity of the
+// shares at all. With shares non-decreasing, round k is at or after the
+// last round strictly below the lowest departed rate — the prefix
+// tests/test_maxmin_properties.cpp checks from scratch.
+//
 // A solver instance owns mutable scratch (slot arrays, frozen flags, heap)
-// that carries no state between solves: solve() only reads the context and
-// only writes rates[f] for the flows it is given. All scratch lives in one
-// arena-backed allocation per instance, carved once per (links, flows)
-// shape and reused across every solve of a run.
+// and the round log of its last solve()/resume(); solve() starts afresh
+// and only reads the context, and both write rates[f] only for the flows
+// they are given. Fixed-shape scratch lives in one arena-backed allocation
+// per instance, carved once per (links, flows) shape and reused across
+// every solve of a run; the log lives in vectors sized by one solve (its
+// frozen flows and its slot writes), so it follows the active set, not the
+// program's total flow count.
 #pragma once
 
 #include <algorithm>
@@ -137,6 +164,7 @@ class FairShareSolver {
     bytes += ScratchArena::bytes_for<LinkId>(num_links);         // slot_link_
     bytes += ScratchArena::bytes_for<double>(num_links) * 2;     // SoA slots
     bytes += ScratchArena::bytes_for<std::uint32_t>(num_links);  // link_slot_
+    bytes += ScratchArena::bytes_for<std::uint32_t>(num_links);  // link_round_
     bytes += ScratchArena::bytes_for<double>(2 * num_links);     // delta_
     bytes += ScratchArena::bytes_for<std::uint8_t>(num_links);   // in_batch_
     bytes += ScratchArena::bytes_for<std::uint8_t>(num_flows);   // frozen_
@@ -145,6 +173,7 @@ class FairShareSolver {
     slot_residual_ = arena_.carve<double>(num_links);
     slot_weight_ = arena_.carve<double>(num_links);
     link_slot_ = arena_.carve<std::uint32_t>(num_links);
+    link_round_ = arena_.carve<std::uint32_t>(num_links);
     delta_ = arena_.carve<double>(2 * num_links);
     in_batch_ = arena_.carve<std::uint8_t>(num_links);
     frozen_ = arena_.carve<std::uint8_t>(num_flows);
@@ -154,19 +183,26 @@ class FairShareSolver {
     std::memset(delta_.data(), 0, delta_.size_bytes());
     std::memset(in_batch_.data(), 0, in_batch_.size_bytes());
     std::memset(frozen_.data(), 0, frozen_.size_bytes());
+    // The slot state the log describes is gone: only solve() may follow.
+    log_rounds_.clear();
+    log_writes_.clear();
+    log_frozen_.clear();
   }
 
   /// Computes rates for every flow in `active_flows`. `used_links` must
   /// cover every link on an active path; stale entries (weight 0) are
   /// skipped. `link_weight_sum[l]` is the total weight of active flows
   /// whose path crosses l. Rates are written into `rates` (indexed by
-  /// FlowIndex). Returns the number of bottleneck-freeze rounds performed.
+  /// FlowIndex). Logs every round for a later resume(). Returns the number
+  /// of bottleneck links frozen (each round adds its batch size).
   std::uint64_t solve(const Ctx& ctx, std::span<const LinkId> used_links,
                       std::span<const double> link_weight_sum,
                       std::span<const FlowIndex> active_flows,
                       std::span<double> rates) {
     for (const FlowIndex f : active_flows) frozen_[f] = 0;
-    std::size_t live_flows = active_flows.size();
+    log_rounds_.clear();
+    log_writes_.clear();
+    log_frozen_.clear();
 
     // Gather the live links of this solve into compact SoA slots.
     std::uint32_t nslots = 0;
@@ -181,10 +217,97 @@ class FairShareSolver {
       slot_residual_[nslots] = ctx.capacity(l);
       slot_weight_[nslots] = weights;
       link_slot_[l] = nslots;
+      link_round_[l] = kNoRound;
       ++nslots;
     }
     live_slots_ = nslots;
+    return fill(ctx, active_flows.size(),
+                dust_free ? active_flows : std::span<const FlowIndex>{},
+                rates);
+  }
 
+  /// Re-solves after the flows in `departed` left the set the previous
+  /// solve() or resume() of this instance solved, and nothing else changed:
+  /// no flow arrived, no capacity moved, every flow weight is 1, and no
+  /// other solve ran in between. `active_flows` is the remaining set, and
+  /// the context still reports the departed flows' paths (they only have
+  /// to be inactive). Rewrites `rates` for every flow in `active_flows`,
+  /// bit-identical to solve() on the remaining set (see the header's
+  /// warm-start lemma), and returns the bottleneck links it froze.
+  std::uint64_t resume(const Ctx& ctx, std::span<const FlowIndex> departed,
+                       std::span<const FlowIndex> active_flows,
+                       std::span<double> rates) {
+    // The resume round: the earliest one that froze a departed flow. A
+    // flow freezes in the first round that batches one of its links.
+    auto keep = static_cast<std::uint32_t>(log_rounds_.size());
+    for (const FlowIndex f : departed) {
+      for (const LinkId l : ctx.flow_path(f)) {
+        keep = std::min(keep, link_round_[l]);
+      }
+    }
+    const bool partial = keep < log_rounds_.size();
+    const std::size_t write_begin =
+        partial ? log_rounds_[keep].write_begin : log_writes_.size();
+    const std::size_t frozen_begin =
+        partial ? log_rounds_[keep].frozen_begin : log_frozen_.size();
+
+    // Kept rounds froze the same flows at the same shares; hand their raw
+    // rates back (the caller may have rounded them in place since).
+    for (std::uint32_t r = 0; r < keep; ++r) {
+      const double share = log_rounds_[r].share;
+      const std::size_t end = r + 1 < keep ? log_rounds_[r + 1].frozen_begin
+                                           : frozen_begin;
+      for (std::size_t i = log_rounds_[r].frozen_begin; i < end; ++i) {
+        const FlowIndex f = log_frozen_[i];
+        rates[f] = share * ctx.flow_weight(f);
+      }
+    }
+
+    // Undo the later rounds newest first, so each link ends on the residual
+    // it held when the resume round began. A link whose slot the scan
+    // compacted away since gets a fresh slot; it drained to exactly zero
+    // weight (unit weights keep every weight sum an integer), so adding
+    // back the weight each round removed rebuilds it.
+    for (std::size_t i = log_writes_.size(); i-- > write_begin;) {
+      const LoggedWrite& w = log_writes_[i];
+      std::uint32_t s = link_slot_[w.link];
+      if (s == kNoSlot) {
+        s = live_slots_++;
+        slot_link_[s] = w.link;
+        slot_weight_[s] = 0.0;
+        link_slot_[w.link] = s;
+      }
+      slot_residual_[s] = w.residual;
+      slot_weight_[s] += w.removed_weight;
+      link_round_[w.link] = kNoRound;
+    }
+    for (std::size_t i = frozen_begin; i < log_frozen_.size(); ++i) {
+      frozen_[log_frozen_[i]] = 0;
+    }
+    log_rounds_.resize(keep);
+    log_writes_.resize(write_begin);
+    log_frozen_.resize(frozen_begin);
+
+    // Every departed flow was still unfrozen when the resume round began,
+    // so each of its links holds a slot carrying its weight.
+    for (const FlowIndex f : departed) {
+      const double weight = ctx.flow_weight(f);
+      for (const LinkId l : ctx.flow_path(f)) {
+        slot_weight_[link_slot_[l]] -= weight;
+      }
+    }
+    return fill(ctx, active_flows.size() - frozen_begin, {}, rates);
+  }
+
+ private:
+  /// Runs progressive-filling rounds from the current slot state until
+  /// `live_flows` unfrozen flows are all frozen, logging each round.
+  /// `broadcast_flows` is the whole flow set when a first-round broadcast
+  /// may apply (a fresh solve with no dust weights), empty otherwise.
+  std::uint64_t fill(const Ctx& ctx, std::size_t live_flows,
+                     std::span<const FlowIndex> broadcast_flows,
+                     std::span<double> rates) {
+    const std::uint32_t nslots = live_slots_;
     bool use_heap = false;
     // The scan hands over to the heap once cumulative sweep work exceeds
     // this.
@@ -193,7 +316,7 @@ class FairShareSolver {
     std::uint64_t scan_ops = 0;
 
     std::uint64_t rounds = 0;
-    bool first_round = true;
+    bool first_round = !broadcast_flows.empty();
     while (live_flows > 0) {
       double share;
       bool found;
@@ -205,17 +328,25 @@ class FairShareSolver {
       }
       if (!found) break;  // every remaining link drained to dust
       rounds += batch_.size();
+      const auto round = static_cast<std::uint32_t>(log_rounds_.size());
+      log_rounds_.push_back(LoggedRound{share, log_writes_.size(),
+                                        log_frozen_.size()});
+      for (const LinkId bl : batch_) link_round_[bl] = round;
 
-      if (first_round && dust_free && batch_.size() == nslots &&
-          all_paths_nonempty(ctx, active_flows)) {
+      if (first_round && batch_.size() == nslots &&
+          all_paths_nonempty(ctx, broadcast_flows)) {
         // Every live link bottlenecks at once (fully symmetric instance):
         // every active flow freezes this round at the same share, so skip
         // the sort and the whole incidence walk — rates are a pure per-flow
         // function. No deltas would survive (every path link is in the
-        // batch), so nothing downstream can observe the shortcut.
-        for (const FlowIndex f : active_flows) {
+        // batch), so nothing downstream can observe the shortcut. The log
+        // records the round with no writes: slot state stays as gathered,
+        // which is the state a resume rolls back to.
+        for (const FlowIndex f : broadcast_flows) {
           rates[f] = share * ctx.flow_weight(f);
         }
+        log_frozen_.insert(log_frozen_.end(), broadcast_flows.begin(),
+                           broadcast_flows.end());
         return rounds;
       }
       first_round = false;
@@ -238,6 +369,7 @@ class FairShareSolver {
           if (!ctx.flow_active(f) || frozen_[f]) continue;
           frozen_[f] = kFrozenNew;
           rates[f] = share * ctx.flow_weight(f);
+          log_frozen_.push_back(f);
           ++nfrozen;
         }
       }
@@ -248,8 +380,9 @@ class FairShareSolver {
       // per-link deferred deltas. Skipped entirely on the final round — no
       // unfrozen flow remains, so no future round reads the link state
       // these deltas would update; the leftover kFrozenNew marks are
-      // harmless (every solve resets frozen_ for its active flows, and
-      // stale incidence entries are screened by flow_active).
+      // harmless (every solve resets frozen_ for its active flows, a
+      // resume for the flows of the rounds it redoes, and stale incidence
+      // entries are screened by flow_active).
       if (live_flows > 0) {
         for (const LinkId bl : batch_) {
           for (const FlowIndex f : ctx.link_flows(bl)) {
@@ -281,6 +414,7 @@ class FairShareSolver {
           double* const d = &delta_[2 * l2];
           const std::uint32_t s = link_slot_[l2];
           if (s != kNoSlot) {
+            log_writes_.push_back(LoggedWrite{l2, slot_residual_[s], d[1]});
             slot_residual_[s] = std::max(slot_residual_[s] - d[0],
                                          ctx.capacity(l2) * 1e-12);
             slot_weight_[s] -= d[1];
@@ -291,7 +425,10 @@ class FairShareSolver {
         touched_.clear();
       }
       for (const LinkId bl : batch_) {
-        slot_weight_[link_slot_[bl]] = 0.0;
+        const std::uint32_t s = link_slot_[bl];
+        log_writes_.push_back(
+            LoggedWrite{bl, slot_residual_[s], slot_weight_[s]});
+        slot_weight_[s] = 0.0;
         in_batch_[bl] = 0;
       }
 
@@ -306,8 +443,6 @@ class FairShareSolver {
     }
     return rounds;
   }
-
- private:
   struct Entry {
     double share;
     LinkId link;
@@ -322,6 +457,8 @@ class FairShareSolver {
   /// Weight dust below this is treated as "no unfrozen flows left".
   static constexpr double kWeightEpsilon = 1e-9;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// link_round_ value of a link no logged round batched.
+  static constexpr std::uint32_t kNoRound = 0xFFFFFFFFu;
   /// frozen_ states: 0 = live, kFrozenOld = frozen in a completed round,
   /// kFrozenNew = frozen by the current round's pass 1, pending its pass-2
   /// delta replay (also left behind by a solve's final round, where pass 2
@@ -470,6 +607,7 @@ class FairShareSolver {
   std::span<double> slot_residual_;  // clamped (residual-clamp invariant)
   std::span<double> slot_weight_;
   std::span<std::uint32_t> link_slot_;
+  std::span<std::uint32_t> link_round_;  // logged round that batched l
   std::span<double> delta_;  // (cap, weight) pairs, held 0 between rounds
   std::span<std::uint8_t> in_batch_;  // held 0 between rounds
   std::span<std::uint8_t> frozen_;  // 0 / kFrozenOld / kFrozenNew
@@ -478,6 +616,26 @@ class FairShareSolver {
   std::vector<LinkId> batch_;
   std::vector<LinkId> touched_;
   std::vector<Entry> heap_;
+
+  // The round log of the last solve() or resume() (see the header): per
+  // round its share and where its slot writes and frozen flows start.
+  // Writes hold the residual a slot had before the round and the weight
+  // the round removed from it — a delta, not an absolute weight, because a
+  // resume subtracts departed weight underneath the kept rounds. Sized by
+  // the active flows and the link updates of one solve.
+  struct LoggedRound {
+    double share;
+    std::size_t write_begin;
+    std::size_t frozen_begin;
+  };
+  struct LoggedWrite {
+    LinkId link;
+    double residual;
+    double removed_weight;
+  };
+  std::vector<LoggedRound> log_rounds_;
+  std::vector<LoggedWrite> log_writes_;
+  std::vector<FlowIndex> log_frozen_;  // in freeze order, round by round
 };
 
 /// Standalone entry point: max-min rates for explicit paths over explicit
