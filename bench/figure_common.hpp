@@ -2,9 +2,13 @@
 // sweep over the paper's topology matrix for a set of workloads and prints
 // one normalised-time panel per workload (the tabular equivalent of the
 // paper's bar groups; values are normalised to the reference fat-tree).
+// --t and --u narrow the hybrid rows of the matrix; the Fattree and
+// Torus3D reference points always run, since every panel is normalised to
+// the Fattree cell.
 #pragma once
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,6 +39,10 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
                  "0.01");
   cli.add_option("latency", "per-hop router latency in seconds", "1e-6");
   cli.add_option("workloads", "comma-separated subset of panels to run", "");
+  cli.add_option("t", "comma-separated subtorus sizes of the hybrid rows",
+                 "2,4,8");
+  cli.add_option("u", "comma-separated uplink thinnings of the hybrid rows",
+                 "8,4,2,1");
   cli.add_option("csv", "write per-cell results to this CSV path", "");
   cli.add_flag("verbose", "log every finished simulation cell");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
@@ -43,6 +51,20 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
   if (!cli.get_string("workloads").empty()) {
     selected = cli.get_string_list("workloads");
   }
+  const auto matrix_values = [&cli](const char* flag) {
+    std::vector<std::uint32_t> values;
+    for (const std::int64_t v : cli.get_int_list(flag)) {
+      if (v <= 0 || v > std::numeric_limits<std::uint32_t>::max()) {
+        throw CliError(flag, "values must be positive 32-bit integers, got " +
+                                 std::to_string(v));
+      }
+      values.push_back(static_cast<std::uint32_t>(v));
+    }
+    if (values.empty()) throw CliError(flag, "needs at least one value");
+    return values;
+  };
+  const std::vector<std::uint32_t> t_values = matrix_values("t");
+  const std::vector<std::uint32_t> u_values = matrix_values("u");
 
   // Group workloads by effective machine size so each group is one sweep.
   std::map<std::uint64_t, std::vector<std::string>> by_nodes;
@@ -61,6 +83,8 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
     SimulationSweepConfig config;
     config.num_nodes = nodes;
     config.workloads = workloads;
+    config.t_values = t_values;
+    config.u_values = u_values;
     config.seed = cli.get_uint("seed");
     config.threads = static_cast<std::uint32_t>(cli.get_uint("threads"));
     config.engine.rate_quantum_rel = cli.get_double("quantum");
