@@ -69,9 +69,12 @@ class AuditView {
   [[nodiscard]] std::span<const FlowIndex> active_flows() const noexcept {
     return engine_->active_flows_;
   }
-  /// Current max-min rate (meaningful for active flows).
+  /// Rate an active flow is progressing at: its max-min rate after the
+  /// engine's quantiser (EngineOptions::rate_quantum_rel). 0 for a flow
+  /// that is not active.
   [[nodiscard]] double flow_rate(FlowIndex f) const noexcept {
-    return engine_->rates_[f];
+    if (engine_->state_[f] != FlowEngine::FlowState::kActive) return 0.0;
+    return engine_->slot_rate_[engine_->active_pos_[f]];
   }
   /// Bytes still to deliver (meaningful for active flows; a flow whose
   /// pipeline fill outlives its transfer can legitimately sit at 0). The

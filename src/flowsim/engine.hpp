@@ -167,12 +167,14 @@ struct SimResult {
   /// (DESIGN.md §11) lower it while every physical field stays identical.
   std::uint64_t solver_rounds = 0;
   /// Flow activations served from / missed by the route cache. Both zero
-  /// whenever the cache is inactive (adaptive routing on, or dynamic routes
-  /// such as a FaultAwareRouter's).
+  /// whenever the cache is inactive (adaptive routing on a topology whose
+  /// adaptive route reads loads, or dynamic routes such as a
+  /// FaultAwareRouter's).
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
   /// Component solves replayed from / missed by the solve cache (see
-  /// "Solve memoization" below). Both zero when it is inactive.
+  /// "Solve memoization" below). Both zero when it is inactive, which
+  /// includes every run with adaptive routing on.
   std::uint64_t solve_cache_hits = 0;
   std::uint64_t solve_cache_misses = 0;
   /// Wall seconds inside rate recomputation (EngineOptions::time_solver).
@@ -418,6 +420,8 @@ class FlowEngine {
   // Per-flow state (sized per run).
   std::vector<FlowState> state_;
   std::vector<std::uint32_t> pending_parents_;
+  /// Raw solver output of the last solve that covered each flow, never
+  /// quantised in place: the rate a flow progresses at is slot_rate_.
   std::vector<double> rates_;
   std::vector<std::uint32_t> path_offset_;
   /// Hop counts fit u16 comfortably (the deepest nested route here is tens
@@ -438,9 +442,11 @@ class FlowEngine {
   std::vector<LinkId> shared_arena_;
   std::vector<std::vector<std::uint32_t>> free_paths_by_length_;
 
-  // Route memoization (active only when adaptive routing is off and the
-  // topology's routes are static — FaultAwareRouter's are not, so fault
-  // semantics are untouched): (src,dst) -> shared extent in shared_arena_.
+  // Route memoization (active when the topology's routes are static —
+  // FaultAwareRouter's are not, so fault semantics are untouched — and
+  // either adaptive routing is off or the topology's adaptive route reads
+  // no loads, as on NestGHC and the torus): (src,dst) -> shared extent in
+  // shared_arena_.
   // Cached flows share one path extent, so collectives that repeat an
   // endpoint pair thousands of times route once and copy nothing.
   // Insertion stops at kMaxCachedRoutes so pathological pair diversity
@@ -541,9 +547,10 @@ class FlowEngine {
   // picks the bucket, so a collision can never replay wrong rates. Rates
   // are stored positionally (blob position i = discovery position i).
   // Engaged only when the route cache is active (its shared path extents
-  // give flows a stable identity) and every flow weight is 1 (equal-weight
-  // flows are bit-exactly exchangeable in the solver; weighted ones are
-  // not). Persists across run() calls; insertion stops at
+  // give flows a stable identity), adaptive routing is off (the one-shot
+  // figure runs, where it costs more than it saves) and every flow weight
+  // is 1 (equal-weight flows are bit-exactly exchangeable in the solver;
+  // weighted ones are not). Persists across run() calls; insertion stops at
   // EngineOptions::solve_cache_budget_words.
   struct SolveCacheEntry {
     std::uint64_t key_offset;
@@ -572,8 +579,9 @@ class FlowEngine {
   /// consumes (a whole-set event always sweeps): points at the memo blob —
   /// slot order — inside solve_rates_arena_, which cannot reallocate before
   /// the sweep runs (inserts only happen on miss events). There is no
-  /// replay scatter into rates_; the sweep writes back only the entries
-  /// that changed. Cleared every event.
+  /// replay scatter into rates_: nothing reads a flow's rates_ entry again
+  /// before a solve rewrites it (the hit invalidates the round log). Cleared
+  /// every event.
   const double* whole_hit_slot_rates_ = nullptr;
 
   // Incremental-solver state.
@@ -640,20 +648,21 @@ class FlowEngine {
   bool finish_heap_stale_ = true;
   std::vector<FlowIndex> changed_scratch_;  // rate-changed flows this event
   std::vector<FlowIndex> harvest_scratch_;  // completion batch this event
-  /// Flow-index bitmap used to put each event's completion batch into
-  /// canonical ascending-flow order (and dedup lazy-heap duplicates)
-  /// without sorting: set a bit per harvested flow, then scan the touched
-  /// word range with ctz. O(batch + range/64) versus the O(batch log batch)
-  /// std::sort it replaced — the mapreduce shuffle harvests ~30k flows per
-  /// phase event. Words are zeroed on extraction, so the vector stays
-  /// all-zero between events.
+  /// Flow-index bitmap used to put a dense completion batch into canonical
+  /// ascending-flow order (and dedup lazy-heap duplicates) without
+  /// sorting: set a bit per harvested flow, then scan the touched word
+  /// range with ctz. O(batch + range/64) — the mapreduce shuffle harvests
+  /// ~30k flows per phase event. A batch whose word range exceeds
+  /// batch * log2(batch) is sorted instead. Words are zeroed on extraction,
+  /// so the vector stays all-zero between events.
   std::vector<std::uint64_t> finished_mask_;
-  /// Completion candidates collected by the fused whole-set sweep: slots
-  /// whose predicted finish was <= a running deadline bound derived from
-  /// the running min finish. The bound only tightens as the sweep
-  /// proceeds, so the list is always a superset of the true harvest; the
-  /// complete phase filters it against the actual deadline instead of
-  /// re-scanning all of slot_finish_.
+  /// Completion candidates collected by a sweep event's select phase (the
+  /// fused whole-set sweep or collect_finish_candidates): slots whose
+  /// predicted finish was <= a running deadline bound derived from the
+  /// running min finish. The bound only tightens as the sweep proceeds, so
+  /// the list is always a superset of the true harvest; the complete phase
+  /// filters it against the actual deadline instead of re-scanning all of
+  /// slot_finish_.
   std::vector<std::uint32_t> cand_slots_;
 
   /// Rebases slot s's remaining/latency_left to time `at` using the rate
@@ -671,35 +680,31 @@ class FlowEngine {
   /// repointing active_pos_ of the moved tail flow. O(1) per removal —
   /// this replaces the legacy per-event O(active) erase_if compaction.
   void remove_active_slot(std::uint32_t s) noexcept;
-  /// The advance kernel: quantises each solved flow's rate, settles flows
-  /// whose rate differs from the one their finish time was computed with,
-  /// refreshes their predicted finish, and collects zero-rate actives into
-  /// `zero_out` (and, when non-null, rate-changed flows into
-  /// `changed_out`).
+  /// The advance kernel: quantises each solved flow's raw rate, settles
+  /// flows whose quantised rate differs from the one their finish time was
+  /// computed with (slot_rate_), refreshes their predicted finish, and
+  /// collects zero-rate actives into `zero_out` (and, when non-null,
+  /// rate-changed flows into `changed_out`).
   void advance_flows(std::span<const FlowIndex> flows, double now,
                      std::vector<FlowIndex>& zero_out,
                      std::vector<FlowIndex>* changed_out);
   /// Fused whole-set sweep for events whose solved span IS active_flows_
   /// (whole-set cache hits, threshold/bailed solves): iterates slots in
   /// order — skipping the flow->slot gather advance_flows needs for
-  /// arbitrary spans — and folds the next-finish min into the same pass,
-  /// replacing a separate min_slot_finish() scan. Bit-identical to
-  /// advance_flows + min_slot_finish on such events: slot order equals the
+  /// arbitrary spans — and folds the next-finish min and the completion
+  /// candidates into the same pass, replacing a separate
+  /// collect_finish_candidates() scan. Bit-identical to advance_flows +
+  /// collect_finish_candidates on such events: slot order equals the
   /// solved span's order there, and an unchanged rate compares equal before
   /// any slot state is touched. Returns the min predicted finish.
-  /// When `slot_rates` is non-null it is this event's solved rates in slot
-  /// order (a whole-set solve-cache hit's memo blob) and the sweep streams
-  /// it instead of gathering rates_[f]; rates_ writebacks then happen only
-  /// for flows whose rate actually changed (the unchanged entries already
-  /// hold these exact bits — see try_cached_whole_solve).
+  /// When `slot_rates` is non-null it is this event's solved raw rates in
+  /// slot order (a whole-set solve-cache hit's memo blob) and the sweep
+  /// streams it instead of gathering rates_[f].
   [[nodiscard]] double advance_flows_whole(double now,
                                            std::vector<FlowIndex>& zero_out,
                                            const double* slot_rates);
-  /// Minimum of slot_finish_ over all live slots.
-  [[nodiscard]] double min_slot_finish() const;
-  /// Appends every flow whose predicted finish is <= deadline to
-  /// harvest_scratch_.
-  void harvest_finished(double deadline);
+  /// Minimum of slot_finish_ over all live slots; fills cand_slots_.
+  [[nodiscard]] double collect_finish_candidates(double now);
   /// Rebuilds finish_heap_ from the live slots, clears the stale flag.
   void rebuild_finish_heap();
 
@@ -709,9 +714,10 @@ class FlowEngine {
   FairShareSolver<EngineContext> solver_;
   /// True while solver_'s round log describes the active set as of the last
   /// whole-set solve plus the departures in departed_, so the next
-  /// whole-set solve may resume it (DESIGN.md §11). Needs unit weights;
-  /// cleared by any activation, detach, capacity change, component solve
-  /// or whole-set solve-cache hit.
+  /// whole-set solve may resume it (DESIGN.md §11) and advance only the
+  /// flows it refreezes (§12). Needs unit weights; cleared by any
+  /// activation, detach, capacity change, component solve or whole-set
+  /// solve-cache hit.
   bool solve_log_valid_ = false;
   bool unit_weights_ = false;  // every flow weight of this run is 1
   std::vector<FlowIndex> departed_;  // completed since the last solve

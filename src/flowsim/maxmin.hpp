@@ -103,9 +103,9 @@
 // global minimum share removes weight_f * share* <= cap_l * w_f / W_l from
 // link l, so (cap - w*share*)/(W - w) >= cap/W.
 //
-// Warm start. solve() logs every round: its share, the residual each slot
-// it wrote held before the round and the weight the round removed from it,
-// and the flows it froze. resume() re-solves after flows only LEFT the set
+// Warm start. solve() logs every round: the residual each slot it wrote
+// held before the round and the weight the round removed from it, and the
+// flows it froze. resume() re-solves after flows only LEFT the set
 // of the last solve()/resume(), with unit weights and nothing else changed.
 // Lemma: let k be the earliest round that froze a departed flow. Every
 // round j < k repeats bit for bit without the departed flows. A departed
@@ -119,9 +119,11 @@
 // link's residual and weight — and every rate and delta of round j — are
 // the same floating-point operations on the same operands. resume()
 // therefore rolls the slots back to the start of round k, subtracts the
-// departed weight (integer weight sums, so in any order, exactly), hands
-// back the raw rates of the flows frozen before round k (callers may round
-// rates in place) and continues the round loop from there. Rounds are
+// departed weight (integer weight sums, so in any order, exactly) and
+// continues the round loop from there. Flows frozen before round k keep
+// their rates: resume() neither reads nor writes their entries, so the
+// caller's copy of them must still be the raw solver output, and
+// refrozen_flows() names the flows whose rates it did rewrite. Rounds are
 // indexed by order, not share, so this needs no monotonicity of the
 // shares at all. With shares non-decreasing, round k is at or after the
 // last round strictly below the lowest departed rate — the prefix
@@ -129,12 +131,13 @@
 //
 // A solver instance owns mutable scratch (slot arrays, frozen flags, heap)
 // and the round log of its last solve()/resume(); solve() starts afresh
-// and only reads the context, and both write rates[f] only for the flows
-// they are given. Fixed-shape scratch lives in one arena-backed allocation
-// per instance, carved once per (links, flows) shape and reused across
-// every solve of a run; the log lives in vectors sized by one solve (its
-// frozen flows and its slot writes), so it follows the active set, not the
-// program's total flow count.
+// and only reads the context. solve() writes rates[f] only for the flows
+// it is given, resume() only for the flows it refreezes. Fixed-shape
+// scratch lives in one arena-backed allocation per instance, carved once
+// per (links, flows) shape and reused across every solve of a run; the log
+// lives in vectors sized by one solve (its frozen flows and its slot
+// writes), so it follows the active set, not the program's total flow
+// count.
 #pragma once
 
 #include <algorithm>
@@ -187,6 +190,7 @@ class FairShareSolver {
     log_rounds_.clear();
     log_writes_.clear();
     log_frozen_.clear();
+    refrozen_begin_ = 0;
   }
 
   /// Computes rates for every flow in `active_flows`. `used_links` must
@@ -203,6 +207,7 @@ class FairShareSolver {
     log_rounds_.clear();
     log_writes_.clear();
     log_frozen_.clear();
+    refrozen_begin_ = 0;
 
     // Gather the live links of this solve into compact SoA slots.
     std::uint32_t nslots = 0;
@@ -229,14 +234,15 @@ class FairShareSolver {
   /// Re-solves after the flows in `departed` left the set the previous
   /// solve() or resume() of this instance solved, and nothing else changed:
   /// no flow arrived, no capacity moved, every flow weight is 1, and no
-  /// other solve ran in between. `active_flows` is the remaining set, and
-  /// the context still reports the departed flows' paths (they only have
-  /// to be inactive). Rewrites `rates` for every flow in `active_flows`,
+  /// other solve ran in between. `num_active` is the size of the remaining
+  /// set, and the context still reports the departed flows' paths (they
+  /// only have to be inactive). Writes `rates` for refrozen_flows() only;
+  /// every other remaining flow keeps the rate the earlier solve wrote,
+  /// which the caller must not have changed. Together they are
   /// bit-identical to solve() on the remaining set (see the header's
-  /// warm-start lemma), and returns the bottleneck links it froze.
+  /// warm-start lemma). Returns the bottleneck links it froze.
   std::uint64_t resume(const Ctx& ctx, std::span<const FlowIndex> departed,
-                       std::span<const FlowIndex> active_flows,
-                       std::span<double> rates) {
+                       std::size_t num_active, std::span<double> rates) {
     // The resume round: the earliest one that froze a departed flow. A
     // flow freezes in the first round that batches one of its links.
     auto keep = static_cast<std::uint32_t>(log_rounds_.size());
@@ -250,18 +256,6 @@ class FairShareSolver {
         partial ? log_rounds_[keep].write_begin : log_writes_.size();
     const std::size_t frozen_begin =
         partial ? log_rounds_[keep].frozen_begin : log_frozen_.size();
-
-    // Kept rounds froze the same flows at the same shares; hand their raw
-    // rates back (the caller may have rounded them in place since).
-    for (std::uint32_t r = 0; r < keep; ++r) {
-      const double share = log_rounds_[r].share;
-      const std::size_t end = r + 1 < keep ? log_rounds_[r + 1].frozen_begin
-                                           : frozen_begin;
-      for (std::size_t i = log_rounds_[r].frozen_begin; i < end; ++i) {
-        const FlowIndex f = log_frozen_[i];
-        rates[f] = share * ctx.flow_weight(f);
-      }
-    }
 
     // Undo the later rounds newest first, so each link ends on the residual
     // it held when the resume round began. A link whose slot the scan
@@ -296,7 +290,15 @@ class FairShareSolver {
         slot_weight_[link_slot_[l]] -= weight;
       }
     }
-    return fill(ctx, active_flows.size() - frozen_begin, {}, rates);
+    refrozen_begin_ = frozen_begin;
+    return fill(ctx, num_active - frozen_begin, {}, rates);
+  }
+
+  /// The flows the last solve() or resume() froze, in freeze order:
+  /// exactly the flows whose rates it wrote. Valid until the next solve(),
+  /// resume() or resize().
+  [[nodiscard]] std::span<const FlowIndex> refrozen_flows() const noexcept {
+    return std::span<const FlowIndex>(log_frozen_).subspan(refrozen_begin_);
   }
 
  private:
@@ -329,7 +331,7 @@ class FairShareSolver {
       if (!found) break;  // every remaining link drained to dust
       rounds += batch_.size();
       const auto round = static_cast<std::uint32_t>(log_rounds_.size());
-      log_rounds_.push_back(LoggedRound{share, log_writes_.size(),
+      log_rounds_.push_back(LoggedRound{log_writes_.size(),
                                         log_frozen_.size()});
       for (const LinkId bl : batch_) link_round_[bl] = round;
 
@@ -618,13 +620,12 @@ class FairShareSolver {
   std::vector<Entry> heap_;
 
   // The round log of the last solve() or resume() (see the header): per
-  // round its share and where its slot writes and frozen flows start.
+  // round where its slot writes and frozen flows start.
   // Writes hold the residual a slot had before the round and the weight
   // the round removed from it — a delta, not an absolute weight, because a
   // resume subtracts departed weight underneath the kept rounds. Sized by
   // the active flows and the link updates of one solve.
   struct LoggedRound {
-    double share;
     std::size_t write_begin;
     std::size_t frozen_begin;
   };
@@ -636,6 +637,7 @@ class FairShareSolver {
   std::vector<LoggedRound> log_rounds_;
   std::vector<LoggedWrite> log_writes_;
   std::vector<FlowIndex> log_frozen_;  // in freeze order, round by round
+  std::size_t refrozen_begin_ = 0;  // log_frozen_ index of resume's first
 };
 
 /// Standalone entry point: max-min rates for explicit paths over explicit

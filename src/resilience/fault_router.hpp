@@ -69,6 +69,9 @@ class FaultAwareRouter final : public Topology {
   [[nodiscard]] bool routes_are_static() const noexcept override {
     return false;
   }
+  [[nodiscard]] bool route_adaptive_reads_loads() const noexcept override {
+    return inner_.route_adaptive_reads_loads();
+  }
 
   // --- Connectivity audit -------------------------------------------------
 

@@ -121,6 +121,9 @@ class FatTreeTopology final : public Topology {
   void route(std::uint32_t src, std::uint32_t dst, Path& path) const override;
   void route_adaptive(std::uint32_t src, std::uint32_t dst, Path& path,
                       const LinkLoads& loads) const override;
+  [[nodiscard]] bool route_adaptive_reads_loads() const noexcept override {
+    return true;
+  }
   [[nodiscard]] std::uint32_t route_distance(
       std::uint32_t src, std::uint32_t dst) const override {
     return tier_->route_distance(src, dst);

@@ -104,6 +104,10 @@ class NestedTopology final : public Topology {
   /// subtorus DOR and GHC e-cube segments stay deterministic.
   void route_adaptive(std::uint32_t src, std::uint32_t dst, Path& path,
                       const LinkLoads& loads) const override;
+  /// NestTree only: NestGHC's adaptive route is its deterministic one.
+  [[nodiscard]] bool route_adaptive_reads_loads() const noexcept override {
+    return fattree_ != nullptr;
+  }
   /// Reference implementation of route() via graph lookups in every
   /// segment, kept for the arithmetic-equivalence tests (test_arith_routes).
   void route_lookup(std::uint32_t src, std::uint32_t dst, Path& path) const;

@@ -43,6 +43,9 @@ class ThinTreeTopology final : public Topology {
   void route(std::uint32_t src, std::uint32_t dst, Path& path) const override;
   void route_adaptive(std::uint32_t src, std::uint32_t dst, Path& path,
                       const LinkLoads& loads) const override;
+  [[nodiscard]] bool route_adaptive_reads_loads() const noexcept override {
+    return true;
+  }
   /// Reference implementation of route() via graph lookups (append_hop),
   /// kept for the arithmetic-equivalence tests (test_arith_routes).
   void route_lookup(std::uint32_t src, std::uint32_t dst, Path& path,

@@ -132,15 +132,22 @@ class Topology {
   /// True when the deterministic routing function is a pure function of
   /// (src, dst) for the lifetime of the object AND try_route always reports
   /// kNative: the flow engine may then memoize route() results per endpoint
-  /// pair (see EngineOptions::route_cache). All concrete topologies in this
-  /// library qualify — their graphs and routing tables are immutable after
-  /// construction (Jellyfish's randomness is fixed at build time). Wrappers
-  /// whose answers depend on runtime state (FaultAwareRouter: reroutes,
-  /// stranding) must return false so resilience semantics are untouched.
-  /// Note the cache is only consulted when adaptive routing is off, so
-  /// load-dependent route_adaptive() overrides do not affect eligibility.
+  /// pair. All concrete topologies in this library qualify — their graphs
+  /// and routing tables are immutable after construction (Jellyfish's
+  /// randomness is fixed at build time). Wrappers whose answers depend on
+  /// runtime state (FaultAwareRouter: reroutes, stranding) must return
+  /// false so resilience semantics are untouched. Under adaptive routing
+  /// the engine memoizes only where route_adaptive_reads_loads() is false.
   [[nodiscard]] virtual bool routes_are_static() const noexcept {
     return true;
+  }
+
+  /// True when route_adaptive() reads the loads it is given, so its path
+  /// for a pair can change with link occupancy (the fat-tree tiers'
+  /// up-port choice). Must be true for every override that reads them;
+  /// false means route_adaptive() returns route()'s path for every pair.
+  [[nodiscard]] virtual bool route_adaptive_reads_loads() const noexcept {
+    return false;
   }
 
   /// Hop count of route(src, dst) without exposing the path buffer.

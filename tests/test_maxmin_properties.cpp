@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -679,6 +680,7 @@ Instance large_power_law_instance(std::uint64_t seed) {
 struct ResumeTally {
   std::uint64_t resumes = 0;
   std::uint64_t rates = 0;
+  std::uint64_t refrozen = 0;  // rates the resumes themselves rewrote
 };
 
 /// Solves `inst` (unit weights), then takes up to `steps` departure steps,
@@ -686,9 +688,11 @@ struct ResumeTally {
 /// A step departs the fastest flows — equal-size flows finish fastest
 /// first — at most a quarter of the live set, and, now and then, one flow
 /// from mid-fill; now and then none.
-/// Before each resume the kept rates are rounded down onto the engine's
-/// 1% rate grid in place, as its quantiser does, so a resume that fails to
-/// restore them shows.
+/// Before each resume every surviving entry of `rates` is poisoned: the
+/// resume may write only the flows it reports as refrozen, each survivor
+/// exactly once, and must leave every other entry untouched; the raw rates
+/// saved from earlier steps stand in for those, and together they must
+/// match the from-scratch solve bit for bit.
 void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
                    ResumeTally& tally) {
   const SolveInputs in = build_inputs(inst);
@@ -697,19 +701,21 @@ void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
   const DepartureContext ctx{&in.ctx, &active};
   FairShareSolver<DepartureContext> solver;
   solver.resize(inst.capacities.size(), num_flows);
-  std::vector<double> rates(num_flows, 0.0);
-  solver.solve(ctx, in.used, in.weight_sums, in.active, rates);
+  std::vector<double> raw(num_flows, 0.0);
+  solver.solve(ctx, in.used, in.weight_sums, in.active, raw);
 
-  const double log_step = std::log1p(0.01);
+  const double poison = -std::numeric_limits<double>::infinity();
+  std::vector<double> rates(num_flows);
+  std::vector<std::uint8_t> refrozen(num_flows);
   std::vector<FlowIndex> live = in.active;
   Prng prng(seed, 0x5E5Eu);
   for (int step = 0; step < steps && live.size() > 1; ++step) {
     std::vector<FlowIndex> departed;
     if (!prng.next_bool(0.1)) {
       double top = 0.0;
-      for (const FlowIndex f : live) top = std::max(top, rates[f]);
+      for (const FlowIndex f : live) top = std::max(top, raw[f]);
       for (const FlowIndex f : live) {
-        if (rates[f] == top) departed.push_back(f);
+        if (raw[f] == top) departed.push_back(f);
       }
       // A giant tie (the symmetric instance) departs a part at a time.
       if (departed.size() > std::max<std::size_t>(1, live.size() / 4)) {
@@ -718,17 +724,30 @@ void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
       }
       if (prng.next_bool(0.3)) {
         const FlowIndex mid = live[prng.next_below(live.size())];
-        if (rates[mid] != top) departed.push_back(mid);
+        if (raw[mid] != top) departed.push_back(mid);
       }
     }
     for (const FlowIndex f : departed) active[f] = 0;
     std::erase_if(live, [&active](FlowIndex f) { return !active[f]; });
-    for (const FlowIndex f : live) {
-      rates[f] = std::exp(std::floor(std::log(rates[f]) / log_step) *
-                          log_step);
-    }
-    solver.resume(ctx, departed, live, rates);
+    for (const FlowIndex f : live) rates[f] = poison;
+    solver.resume(ctx, departed, live.size(), rates);
     ++tally.resumes;
+
+    std::fill(refrozen.begin(), refrozen.end(), 0);
+    for (const FlowIndex f : solver.refrozen_flows()) {
+      ASSERT_TRUE(active[f]) << "seed " << seed << " step " << step
+                             << " refroze departed flow " << f;
+      ASSERT_EQ(refrozen[f], 0) << "seed " << seed << " step " << step
+                                << " refroze flow " << f << " twice";
+      refrozen[f] = 1;
+      raw[f] = rates[f];
+    }
+    for (const FlowIndex f : live) {
+      if (refrozen[f]) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rates[f]),
+                std::bit_cast<std::uint64_t>(poison))
+          << "seed " << seed << " step " << step << " wrote kept flow " << f;
+    }
 
     Instance rest;
     rest.capacities = inst.capacities;
@@ -737,9 +756,12 @@ void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
     rest.weights.assign(rest.paths.size(), 1.0);
     const std::vector<double> want = solve(rest);
     for (std::size_t i = 0; i < live.size(); ++i) {
-      EXPECT_EQ(rates[live[i]], want[i])
-          << "seed " << seed << " step " << step << " flow " << live[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(raw[live[i]]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "seed " << seed << " step " << step << " flow " << live[i]
+          << (refrozen[live[i]] ? " (refrozen)" : " (kept)");
       ++tally.rates;
+      tally.refrozen += refrozen[live[i]];
     }
   }
 }
@@ -754,6 +776,10 @@ TEST(MaxminResume, DepartureStepsMatchFromScratchBitwise) {
   }
   EXPECT_GT(tally.resumes, 15000u);
   EXPECT_GT(tally.rates, 400000u);
+  // Both halves of the contract carry weight: most survivors keep their
+  // rate, and a sizeable share is refrozen.
+  EXPECT_GT(tally.refrozen, tally.rates / 100);
+  EXPECT_LT(tally.refrozen, tally.rates / 2);
 }
 
 TEST(MaxminResume, HeapFallbackInstancesMatchFromScratchBitwise) {

@@ -1,10 +1,12 @@
 // Route-cache correctness: cached paths must be byte-for-byte the paths the
 // topology would compute fresh, the cache must engage exactly when routes
 // are provably static (deterministic routing function, no fault-aware
-// wrapper), and entries must persist across run() calls on one engine.
+// wrapper) and, under adaptive routing, only where the adaptive route reads
+// no loads; entries must persist across run() calls on one engine.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flowsim/engine.hpp"
@@ -26,30 +28,61 @@ TrafficProgram generate(const Topology& topology, const std::string& spec) {
 }
 
 TEST(RouteCache, StaticRouteDeclarationsMatchReality) {
-  // Every plain family routes as a pure function of (src, dst)...
-  for (const std::string family :
-       {"torus:4x4x2", "fattree:4,4", "nestghc:64,2,2", "nesttree:64,2,2"}) {
-    EXPECT_TRUE(make_topology(family)->routes_are_static()) << family;
+  // Every plain family routes as a pure function of (src, dst), and only
+  // the fat-tree tiers' adaptive up-port choice reads link loads...
+  const std::vector<std::pair<std::string, bool>> families = {
+      {"torus:4x4x2", false},      {"fattree:4,4", true},
+      {"thintree:4,2,2", true},    {"nesttree:64,2,2", true},
+      {"nestghc:64,2,2", false},   {"ghc:4x4x2", false},
+      {"dragonfly:2,4,2", false},  {"jellyfish:24,2,4,7", false}};
+  for (const auto& [family, reads_loads] : families) {
+    const auto topo = make_topology(family);
+    EXPECT_TRUE(topo->routes_are_static()) << family;
+    EXPECT_EQ(topo->route_adaptive_reads_loads(), reads_loads) << family;
+    if (reads_loads) continue;
+    // ...so everywhere else the adaptive route is the deterministic one,
+    // even under loads that would sway a load-reading route.
+    std::vector<std::uint32_t> counts(topo->graph().num_links());
+    std::vector<double> capacities(counts.size(), 1.0);
+    Prng prng(11, 0x10ADu);
+    for (auto& c : counts) c = static_cast<std::uint32_t>(prng.next_below(9));
+    const LinkLoads loads(counts, capacities);
+    Path fixed;
+    Path adaptive;
+    for (std::uint32_t src = 0; src < topo->num_endpoints(); ++src) {
+      for (std::uint32_t dst = 0; dst < topo->num_endpoints(); ++dst) {
+        topo->route(src, dst, fixed);
+        topo->route_adaptive(src, dst, adaptive, loads);
+        ASSERT_EQ(fixed.links, adaptive.links)
+            << family << " " << src << "->" << dst;
+      }
+    }
   }
   // ...while the fault-aware wrapper's detours depend on the fault state.
   const auto topo = make_topology("torus:4x4x2");
   const auto faults = FaultModel::random_cable_faults(topo->graph(), 0.05, 3);
   const FaultAwareRouter router(*topo, faults);
   EXPECT_FALSE(router.routes_are_static());
+  EXPECT_FALSE(router.route_adaptive_reads_loads());
 }
 
 /// Same program on FlowEngine (route cache on) and on the ReferenceEngine,
 /// which routes every activation afresh: identical SimResult AND identical
 /// per-link traffic — the strongest observable statement that every cached
-/// path equals the freshly routed one.
+/// path equals the freshly routed one. Deterministic routing everywhere,
+/// plus adaptive routing on the families whose adaptive route reads no
+/// loads (the solve cache stays off there).
 TEST(RouteCache, CachedPathsCarryIdenticalTraffic) {
-  for (const std::string family :
-       {"torus:4x4x2", "fattree:4,4", "nestghc:64,2,2"}) {
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {"torus:4x4x2", false},   {"fattree:4,4", false},
+      {"nestghc:64,2,2", false}, {"torus:4x4x2", true},
+      {"nestghc:64,2,2", true}};
+  for (const auto& [family, adaptive] : cases) {
     const auto topo = make_topology(family);
     for (const std::string spec : {"unstructured-app", "allreduce", "sweep3d"}) {
       const TrafficProgram program = generate(*topo, spec);
       EngineOptions options;
-      options.adaptive_routing = false;
+      options.adaptive_routing = adaptive;
 
       verify::ReferenceEngine fresh(*topo, options);
       const SimResult fresh_result = fresh.run(program);
@@ -58,10 +91,17 @@ TEST(RouteCache, CachedPathsCarryIdenticalTraffic) {
       FlowEngine cached(*topo, options);
       const SimResult cached_result = cached.run(program);
 
-      const std::string context = family + " x " + spec;
+      const std::string context =
+          family + " x " + spec + (adaptive ? " (adaptive)" : "");
       EXPECT_EQ(fresh_result.makespan, cached_result.makespan) << context;
       EXPECT_EQ(fresh_result.events, cached_result.events) << context;
       EXPECT_GT(cached_result.route_cache_misses, 0u) << context;
+      if (adaptive) {
+        EXPECT_EQ(cached_result.solve_cache_hits +
+                      cached_result.solve_cache_misses,
+                  0u)
+            << context;
+      }
       const auto check_bytes = [&](const char* phase) {
         const auto& cached_bytes = cached.last_link_bytes();
         ASSERT_EQ(fresh_bytes.size(), cached_bytes.size()) << context;
@@ -78,20 +118,33 @@ TEST(RouteCache, CachedPathsCarryIdenticalTraffic) {
       EXPECT_EQ(fresh_result.makespan, warm_result.makespan) << context;
       EXPECT_GT(warm_result.route_cache_hits, 0u) << context;
       EXPECT_EQ(warm_result.route_cache_misses, 0u) << context;
+      if (adaptive) {
+        EXPECT_EQ(warm_result.solve_cache_hits + warm_result.solve_cache_misses,
+                  0u)
+            << context;
+      }
       check_bytes("warm");
     }
   }
 }
 
 TEST(RouteCache, BypassedWhenAdaptiveRoutingIsOn) {
-  const auto topo = make_topology("fattree:4,4");
-  const TrafficProgram program = generate(*topo, "unstructured-app");
-  EngineOptions options;
-  options.adaptive_routing = true;  // load-dependent paths: caching unsound
-  FlowEngine engine(*topo, options);
-  const SimResult result = engine.run(program);
-  EXPECT_EQ(result.route_cache_hits + result.route_cache_misses, 0u);
-  EXPECT_EQ(result.solve_cache_hits + result.solve_cache_misses, 0u);
+  // Families whose adaptive route reads loads: caching would be unsound.
+  for (const std::string family :
+       {"fattree:4,4", "thintree:4,2,2", "nesttree:64,2,2"}) {
+    const auto topo = make_topology(family);
+    const TrafficProgram program = generate(*topo, "unstructured-app");
+    EngineOptions options;
+    options.adaptive_routing = true;
+    FlowEngine engine(*topo, options);
+    for (int run = 0; run < 2; ++run) {
+      const SimResult result = engine.run(program);
+      EXPECT_EQ(result.route_cache_hits + result.route_cache_misses, 0u)
+          << family;
+      EXPECT_EQ(result.solve_cache_hits + result.solve_cache_misses, 0u)
+          << family;
+    }
+  }
 }
 
 TEST(RouteCache, BypassedForFaultAwareRouting) {
