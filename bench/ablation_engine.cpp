@@ -36,9 +36,7 @@ RunOutcome run_once(const Topology& topology, const TrafficProgram& program,
                     result.events};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("ablation_engine",
                 "adaptive-routing and rate-quantisation ablations");
   cli.add_option("nodes", "machine size in QFDBs (power of two)", "512");
@@ -107,4 +105,10 @@ int main(int argc, char** argv) {
                 "\nthe makespan error stays around the quantum itself.\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ablation_engine", run, argc, argv);
 }

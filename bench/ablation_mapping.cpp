@@ -12,7 +12,9 @@
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("ablation_mapping",
                 "placement-policy sweep on the hybrid topologies");
@@ -76,4 +78,10 @@ int main(int argc, char** argv) {
       "\nmatters a lot on torus and hybrids for rank-local traffic\n"
       "(nearneighbors, nbodies), and not much for unstructured traffic.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ablation_mapping", run, argc, argv);
 }

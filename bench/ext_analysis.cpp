@@ -11,7 +11,9 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("ext_analysis",
                 "deadlock and saturation-throughput analyses");
@@ -61,4 +63,10 @@ int main(int argc, char** argv) {
       "simulation alone cannot see. Throughput bounds show why the\n"
       "fat-tree and dense hybrids dominate heavy uniform traffic.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_analysis", run, argc, argv);
 }

@@ -234,10 +234,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "ext_availability: %s\n", err.what());
-    return 2;
-  }
+  return nestflow::run_cli_main("ext_availability", run, argc, argv);
 }

@@ -14,7 +14,9 @@
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("ext_energy", "energy estimates across the topology matrix");
   cli.add_option("nodes", "machine size in QFDBs (power of two)", "512");
@@ -71,4 +73,10 @@ int main(int argc, char** argv) {
       "makespan x hardware count: slow topologies (torus under heavy\n"
       "traffic) and switch-rich ones (u=1 hybrids) pay, fast lean ones win.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_energy", run, argc, argv);
 }

@@ -61,9 +61,7 @@ double run_alone(const Topology& topology, const TrafficProgram& program) {
   return engine.run(program).makespan;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("ext_isolation",
                 "co-scheduled job interference: contiguous vs interleaved");
   cli.add_option("nodes", "machine size in QFDBs (power of two)", "512");
@@ -135,4 +133,10 @@ int main(int argc, char** argv) {
       "thinned uplinks of every subtorus — the allocation policy and the\n"
       "u parameter interact.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_isolation", run, argc, argv);
 }

@@ -13,7 +13,9 @@
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("ext_priority",
                 "prioritised collective over background traffic");
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
               "every shared bottleneck; the background pays, and the total\n"
               "makespan barely moves (the allocation stays work-conserving).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_priority", run, argc, argv);
 }

@@ -15,7 +15,9 @@
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("ext_related",
                 "Dragonfly/Jellyfish baselines vs the paper's topologies");
@@ -109,4 +111,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_text().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_related", run, argc, argv);
 }

@@ -64,9 +64,7 @@ std::uint32_t pow2_tasks(std::uint32_t endpoints) {
   return tasks;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("ext_resilience",
                 "degradation curves under dead and degraded links");
   cli.add_option("nodes", "machine size in QFDBs (power of two)", "512");
@@ -215,4 +213,10 @@ int main(int argc, char** argv) {
       "their hot routes, and partitions show up as stranded traffic, not\n"
       "as crashes.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_resilience", run, argc, argv);
 }

@@ -13,7 +13,9 @@
 #include "util/stats.hpp"
 #include "workloads/injection.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("ext_saturation",
                 "open-loop latency vs offered load per topology");
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
               "then the drain overrun and tail latency explode — earliest on\n"
               "the thinned hybrid (u=4), never on the fat-tree below 1.0.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("ext_saturation", run, argc, argv);
 }

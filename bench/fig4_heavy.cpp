@@ -11,11 +11,19 @@
 
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   nestflow::benchtool::FigureSpec spec;
   spec.figure_name = "Figure 4 (heavy workloads)";
   spec.workloads = nestflow::heavy_workload_names();
   // n-Bodies builds N*N/2 flows: cap its machine size.
   spec.node_override["nbodies"] = 1024;
   return nestflow::benchtool::run_figure(spec, argc, argv);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("fig4_heavy", run, argc, argv);
 }

@@ -16,6 +16,7 @@
 #include "core/report.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
+#include "workloads/factory.hpp"
 
 namespace nestflow::benchtool {
 
@@ -50,6 +51,8 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
   std::vector<std::string> selected = spec.workloads;
   if (!cli.get_string("workloads").empty()) {
     selected = cli.get_string_list("workloads");
+    // Reject an unknown panel before any topology is built.
+    for (const auto& name : selected) static_cast<void>(make_workload(name));
   }
   const auto matrix_values = [&cli](const char* flag) {
     std::vector<std::uint32_t> values;

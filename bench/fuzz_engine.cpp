@@ -90,10 +90,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "fuzz_engine: %s\n", error.what());
-    return 1;
-  }
+  return nestflow::run_cli_main("fuzz_engine", run, argc, argv);
 }

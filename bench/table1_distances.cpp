@@ -26,9 +26,7 @@ constexpr PaperRow kPaperTable1[] = {
     {"(8, 2)", 6.85, 6.97, 11, 11}, {"(8, 1)", 5.88, 5.99, 11, 11},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("table1_distances",
                 "Table 1: average distance and diameter of the topology "
@@ -71,4 +69,10 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("table1_distances", run, argc, argv);
 }

@@ -22,9 +22,7 @@ constexpr PaperRow kPaperTable2[] = {
     {"(*, 1)", 8192, 9216, 4.69, 5.27, 1.56, 1.76},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("table2_cost",
                 "Table 2: switch counts and cost/power overhead estimates");
@@ -60,4 +58,10 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("table2_cost", run, argc, argv);
 }

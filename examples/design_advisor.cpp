@@ -24,7 +24,9 @@
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("design_advisor",
                 "sweep the hybrid design space and rank the candidates");
@@ -126,4 +128,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_text().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("design_advisor", run, argc, argv);
 }

@@ -19,7 +19,9 @@
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
 
   CliParser cli("quickstart", "minimal nestflow end-to-end example");
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
   std::printf("  busiest link utilisation %.1f%%, avg active flows %.1f\n",
               100.0 * result.max_link_utilization, result.avg_active_flows);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("quickstart", run, argc, argv);
 }

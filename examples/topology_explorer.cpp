@@ -17,7 +17,9 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
   CliParser cli("topology_explorer", "inspect any nestflow topology");
   cli.add_option("spec", "topology spec (see topo/factory.hpp)",
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("topology_explorer", run, argc, argv);
 }

@@ -79,9 +79,7 @@ void write_demo_trace(const std::string& path) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("trace_replay", "simulate a flow trace on any topology");
   cli.add_option("spec", "topology spec", "nesttree:128,2,2");
   cli.add_option("trace", "trace file path (empty = built-in demo)", "");
@@ -129,4 +127,10 @@ int main(int argc, char** argv) {
               format_time(critical).c_str(),
               100.0 * critical / result.makespan);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("trace_replay", run, argc, argv);
 }

@@ -40,9 +40,7 @@ std::unique_ptr<Topology> resolve(const std::string& key, std::uint64_t nodes) {
   throw std::invalid_argument("unknown topology shorthand: " + key);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("workload_sweep", "compare topologies on one workload");
   cli.add_option("workload", "workload name", "allreduce");
   cli.add_option("nodes", "machine size (power of two)", "512");
@@ -92,4 +90,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_text().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("workload_sweep", run, argc, argv);
 }

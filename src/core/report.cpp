@@ -19,8 +19,14 @@ struct PaperOrder {
 };
 
 std::string tu_label(const ConfigKey& key) {
-  return "(" + std::to_string(key.first) + ", " + std::to_string(key.second) +
-         ")";
+  // Appended piecewise: gcc 12's -Wrestrict misfires on the inlined
+  // "(" + std::string&& concatenation.
+  std::string label = "(";
+  label += std::to_string(key.first);
+  label += ", ";
+  label += std::to_string(key.second);
+  label += ')';
+  return label;
 }
 
 }  // namespace

@@ -28,17 +28,6 @@ bool release_after(const std::pair<double, FlowIndex>& a,
   return a.first > b.first;
 }
 
-/// "Less" comparator that turns std::*_heap into a MIN-heap over
-/// (finish, flow): the heap's notion of "largest" is the latest finish, so
-/// the front is always the earliest predicted finish — ties broken toward
-/// the smallest flow index, which is the deterministic order the dispatch
-/// contract promises. Generic parameters because FinishEntry is
-/// FlowEngine-private.
-constexpr auto finish_after = [](const auto& a, const auto& b) {
-  if (a.finish != b.finish) return a.finish > b.finish;
-  return a.flow > b.flow;
-};
-
 /// Snaps a raw solver rate down onto the geometric grid of spacing
 /// (1 + EngineOptions::rate_quantum_rel); the identity when that is 0. The
 /// map is a pure function, so remembering the last raw rate is exact:
@@ -64,7 +53,7 @@ class RateQuantiser {
   double last_ = 0.0;
 };
 
-/// Running minimum of the predicted finishes a sweep visits, plus the slots
+/// Running minimum of the predicted finishes a scan visits, plus the slots
 /// that may complete this event. A slot whose finish is <= now + (fmin -
 /// now) * (1 + completion_batch_rel) is a possible completion (the
 /// complete phase's deadline is that exact expression of the FINAL fmin,
@@ -727,13 +716,11 @@ void FlowEngine::recover_flow(FlowIndex f, double now, double remaining_now,
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch kernel (DESIGN.md §12). One arithmetic, two access paths: per-
-// flow progress is rebased ("settled") only when a flow's rate changes, and
-// between touches the flow's absolute predicted finish time — written once
-// per rate change — is the single source of truth the sweep and the heap
-// both read. That shared arithmetic is what makes every event bit-identical
-// whichever path serves it, and what the ReferenceEngine (src/verify/)
-// reproduces without either.
+// Dispatch kernel (DESIGN.md §12). Per-flow progress is rebased
+// ("settled") only when a flow's rate changes, and between touches the
+// flow's absolute predicted finish time — written once per rate change — is
+// the single source of truth the candidate scan reads. The ReferenceEngine
+// (src/verify/) reproduces the same arithmetic with none of the laziness.
 
 void FlowEngine::settle_slot(std::uint32_t s, double at) noexcept {
   SlotState& slot = slots_[s];
@@ -785,7 +772,7 @@ void FlowEngine::remove_active_slot(std::uint32_t s) noexcept {
 // about a third.
 [[gnu::noinline]] void FlowEngine::advance_flows(
     std::span<const FlowIndex> flows, double now,
-    std::vector<FlowIndex>& zero_out, std::vector<FlowIndex>* changed_out) {
+    std::vector<FlowIndex>& zero_out) {
   // rates_ keeps the raw solver output; the quantised rate lives only in
   // slot_rate_, so every solved flow is quantised here from its raw rate
   // and compared with the quantised rate its finish time was computed
@@ -812,7 +799,6 @@ void FlowEngine::remove_active_slot(std::uint32_t s) noexcept {
     // transfer term of such a flow is 0 — only the fill remains.
     const double transfer = slot.remaining > 0.0 ? slot.remaining / r : 0.0;
     slot_finish_[s] = now + std::max(slot.latency_left, transfer);
-    if (changed_out != nullptr) changed_out->push_back(f);
   }
 }
 
@@ -917,17 +903,6 @@ double FlowEngine::collect_finish_candidates(double now) {
   return cands.fmin();
 }
 
-void FlowEngine::rebuild_finish_heap() {
-  finish_heap_.clear();
-  const std::size_t n = active_flows_.size();
-  finish_heap_.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    finish_heap_.push_back(FinishEntry{slot_finish_[s], active_flows_[s]});
-  }
-  std::make_heap(finish_heap_.begin(), finish_heap_.end(), finish_after);
-  finish_heap_stale_ = false;
-}
-
 SimResult FlowEngine::run(const TrafficProgram& program) {
   return run_impl(program, nullptr);
 }
@@ -955,8 +930,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   slots_.clear();
   slot_rate_.clear();
   slot_finish_.clear();
-  finish_heap_.clear();
-  finish_heap_stale_ = true;
   // Kept all-zero between events by the harvest extraction loop; only needs
   // zeroing when the flow count grows.
   finished_mask_.assign((n + 63) / 64, 0);
@@ -966,9 +939,10 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   path_arena_.clear();
   free_paths_by_length_.clear();
   // route_cache_ / shared_arena_ are deliberately NOT cleared: native routes
-  // on a static-route topology are pure functions of (src, dst), so repeated
-  // programs on one engine (sweep and ablation drivers, repeated phases)
-  // route straight from cache on every run after the first.
+  // on a static-route topology are pure functions of (src, dst), so programs
+  // run on one engine (ablation_mapping and ext_related run several; a
+  // steady-state replay repeats one) route shared pairs straight from cache
+  // on every run after the first.
   // Equal-weight flows are bit-exactly exchangeable inside a solver freeze
   // round (identical subtrahends commute in floating point), and unit
   // weights keep every link weight sum an integer; weighted ones are
@@ -1168,7 +1142,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     bool whole = (solve_log_valid_ && !solve_cache_active_) ||
                  2 * dirty_links_.size() >= num_active_links_;
     bool cache_hit = false;
-    bool resumed = false;  // the solver resumed its round log this event
     bool cache_probed = false;  // try_cached_whole_solve ran this event
     if (!whole && solve_cache_active_ && whole_set_hint_ &&
         !solve_cache_entries_.empty()) {
@@ -1223,7 +1196,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
             result.solver_rounds += solver_.resume(
                 ctx, departed_, active_flows_.size(), rates_);
             solved = solver_.refrozen_flows();
-            resumed = true;
           } else {
             result.solver_rounds += solver_.solve(
                 ctx, used_links_, link_weight_sum_, active_flows_, rates_);
@@ -1278,34 +1250,20 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // Only freshly solved flows can have changed rate; untouched components
     // and the flows a resume kept hold their raw rates, and so their
     // quantised ones, exactly as a full solve-and-requantise would
-    // recompute them. The event sweeps when it re-solved at least half the
-    // active set — the heap would be rebuilt wholesale anyway — and indexes
-    // otherwise, a pure function of engine state (never of timing). A
-    // resumed event advances only the flows the resume refroze but selects
-    // and harvests with the linear scans: it always follows a whole-set
-    // event, which left the heap stale, and rebuilding the heap costs more
-    // than the scans it would save once. Any sweep event leaves the heap
-    // stale; the next indexed event rebuilds it.
-    assert(!resumed || finish_heap_stale_);
-    const bool sweep_event =
-        resumed || 2 * solved.size() >= active_flows_.size();
-    if (sweep_event) finish_heap_stale_ = true;
-    changed_scratch_.clear();
+    // recompute them. Whole-set events (the span aliases active_flows_
+    // itself — cache hits, threshold and bailed solves) take the fused
+    // slot-order sweep, which also yields the select phase's min and
+    // completion candidates for free. Every other event — resumed or
+    // component-solved — advances its span and then scans the finishes.
     zero_rate_scratch_.clear();
-    // Whole-set events (the span aliases active_flows_ itself — cache hits,
-    // threshold and bailed solves) take the fused slot-order sweep, which
-    // also yields the select phase's min and completion candidates for
-    // free. Other sweeps advance the span and then scan the finishes.
-    const bool whole_sweep = sweep_event &&
-                             solved.data() == active_flows_.data() &&
+    const bool whole_sweep = solved.data() == active_flows_.data() &&
                              solved.size() == active_flows_.size();
     double fused_fmin = std::numeric_limits<double>::infinity();
     if (whole_sweep) {
       fused_fmin =
           advance_flows_whole(now, zero_rate_scratch_, whole_hit_slot_rates_);
     } else {
-      advance_flows(solved, now, zero_rate_scratch_,
-                    sweep_event ? nullptr : &changed_scratch_);
+      advance_flows(solved, now, zero_rate_scratch_);
     }
     if (!zero_rate_scratch_.empty()) {
       // A rate of 0 with bytes left means a dead (capacity-0) link sits on
@@ -1324,10 +1282,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         remove_active_slot(s);
         recover_flow(f, now, left, result);
       }
-      // Flows whose finish changed this event were never pushed onto the
-      // heap (the push below is skipped by the continue), so it cannot be
-      // trusted for the next indexed event.
-      finish_heap_stale_ = true;
       lap(&SimResult::advance_seconds);
       take_dispatch();
       continue;
@@ -1335,47 +1289,8 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     lap(&SimResult::advance_seconds);
 
     // --- Select: earliest predicted finish, then arrival/fault caps ------
-    double fmin;
-    if (sweep_event) {
-      fmin = whole_sweep ? fused_fmin : collect_finish_candidates(now);
-    } else {
-      if (finish_heap_stale_ ||
-          finish_heap_.size() > 4 * active_flows_.size() + 64) {
-        // Stale after a sweep/recovery, or bloated with lazy-deleted
-        // entries: rebuild from the live slots (which also covers every
-        // flow changed this event).
-        rebuild_finish_heap();
-      } else {
-        for (const FlowIndex f : changed_scratch_) {
-          finish_heap_.push_back(
-              FinishEntry{slot_finish_[active_pos_[f]], f});
-          std::push_heap(finish_heap_.begin(), finish_heap_.end(),
-                         finish_after);
-        }
-      }
-      // Pop to the first live entry: one whose flow is still active and
-      // whose finish bits match the flow's current prediction (lazy
-      // deletion discards the rest). The invariant that every active flow
-      // has a live entry makes this the exact min over the active set —
-      // the same double the sweep would find.
-      fmin = std::numeric_limits<double>::infinity();
-      while (!finish_heap_.empty()) {
-        const FinishEntry top = finish_heap_.front();
-        if (state_[top.flow] == FlowState::kActive &&
-            slot_finish_[active_pos_[top.flow]] == top.finish) {
-          fmin = top.finish;
-          break;
-        }
-        std::pop_heap(finish_heap_.begin(), finish_heap_.end(), finish_after);
-        finish_heap_.pop_back();
-      }
-      if (!(fmin < std::numeric_limits<double>::infinity())) {
-        // Unreachable by the invariant above; a rebuild restores it cheaply
-        // rather than letting a latent bookkeeping bug stall the horizon.
-        rebuild_finish_heap();
-        if (!finish_heap_.empty()) fmin = finish_heap_.front().finish;
-      }
-    }
+    const double fmin =
+        whole_sweep ? fused_fmin : collect_finish_candidates(now);
     // dt is the gap to the earliest finish unless an arrival or fault event
     // lands first: both change the rate allocation, so time never steps
     // past them. Events due at `now` were applied at the top of the
@@ -1437,35 +1352,16 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
 
     const std::size_t active_before = active_flows_.size();
     harvest_scratch_.clear();
-    if (sweep_event) {
-      // The select phase already collected every possible completion (a
-      // superset — see FinishCandidates); filter it against the actual
-      // deadline instead of re-scanning a million slot finishes.
-      for (const std::uint32_t s : cand_slots_) {
-        if (slot_finish_[s] <= deadline) {
-          harvest_scratch_.push_back(active_flows_[s]);
-        }
-      }
-    } else {
-      // Drain the heap up to the deadline; live entries are this event's
-      // completions, lazy-deleted ones just leave. Every harvested flow's
-      // entries are at the front by the heap property, so nothing live can
-      // be missed.
-      while (!finish_heap_.empty() &&
-             finish_heap_.front().finish <= deadline) {
-        const FinishEntry top = finish_heap_.front();
-        std::pop_heap(finish_heap_.begin(), finish_heap_.end(), finish_after);
-        finish_heap_.pop_back();
-        if (state_[top.flow] == FlowState::kActive &&
-            slot_finish_[active_pos_[top.flow]] == top.finish) {
-          harvest_scratch_.push_back(top.flow);
-        }
+    // The select phase already collected every possible completion (a
+    // superset of distinct slots — see FinishCandidates); filter it against
+    // the actual deadline instead of re-scanning a million slot finishes.
+    for (const std::uint32_t s : cand_slots_) {
+      if (slot_finish_[s] <= deadline) {
+        harvest_scratch_.push_back(active_flows_[s]);
       }
     }
-    // Process in ascending flow order — the path-independent order (the
-    // sweep collects in slot order, the heap in finish order; both reduce
-    // to the same sequence) — without duplicates (a rate that changed and
-    // changed back lands the same live (finish, flow) heap entry twice).
+    // Process in ascending flow order — the order the ReferenceEngine
+    // completes in, independent of the slot order swap-compaction permutes.
     // A batch whose flows lie far apart in index (nbodies' ring chains)
     // is sorted; a dense one goes through the flow bitmap, whose word-range
     // scan then costs less than the sort.
@@ -1482,9 +1378,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       if (hi - lo >= count * std::bit_width(count)) {
         for (const FlowIndex f : harvest_scratch_) finished_mask_[f >> 6] = 0;
         std::sort(harvest_scratch_.begin(), harvest_scratch_.end());
-        harvest_scratch_.erase(
-            std::unique(harvest_scratch_.begin(), harvest_scratch_.end()),
-            harvest_scratch_.end());
       } else {
         harvest_scratch_.clear();
         for (std::size_t w = lo; w <= hi; ++w) {
@@ -1522,16 +1415,14 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       }
       if (i + kNear < batch) {
         const FlowIndex pf = harvest_scratch_[i + kNear];
-        if (state_[pf] == FlowState::kActive) {
-          const std::uint32_t ps = active_pos_[pf];
-          __builtin_prefetch(&slots_[ps], 1);
-          __builtin_prefetch(&slot_rate_[ps], 1);
-          __builtin_prefetch(&slot_finish_[ps], 1);
-          __builtin_prefetch(&active_flows_[ps], 1);
-          __builtin_prefetch((path_shared_[pf] ? shared_arena_.data()
-                                               : path_arena_.data()) +
-                             path_offset_[pf]);
-        }
+        const std::uint32_t ps = active_pos_[pf];
+        __builtin_prefetch(&slots_[ps], 1);
+        __builtin_prefetch(&slot_rate_[ps], 1);
+        __builtin_prefetch(&slot_finish_[ps], 1);
+        __builtin_prefetch(&active_flows_[ps], 1);
+        __builtin_prefetch((path_shared_[pf] ? shared_arena_.data()
+                                             : path_arena_.data()) +
+                           path_offset_[pf]);
         // The removal that processes pf will move the then-tail flow into
         // pf's slot and rewrite that flow's active_pos_ entry — a random
         // store. The tail is consumed in order, so the flow kNear removals
@@ -1550,18 +1441,17 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       // every first touch is a DRAM miss.
       constexpr std::size_t kLink = 3;
       if (i + kLink < batch) {
-        const FlowIndex pf = harvest_scratch_[i + kLink];
-        if (state_[pf] == FlowState::kActive) {
-          for (const LinkId l : path_view(pf)) {
-            __builtin_prefetch(&link_weight_sum_[l], 1);
-            __builtin_prefetch(&link_active_count_[l], 1);
-            __builtin_prefetch(&link_bytes_[l], 1);
-            incidence_.prefetch(l);
-          }
+        for (const LinkId l : path_view(harvest_scratch_[i + kLink])) {
+          __builtin_prefetch(&link_weight_sum_[l], 1);
+          __builtin_prefetch(&link_active_count_[l], 1);
+          __builtin_prefetch(&link_bytes_[l], 1);
+          incidence_.prefetch(l);
         }
       }
+      // Every harvested flow is a distinct active slot's, and completing
+      // one only readies pending children, so each is still active here.
       const FlowIndex f = harvest_scratch_[i];
-      if (state_[f] != FlowState::kActive) continue;
+      assert(state_[f] == FlowState::kActive);
       remove_active_slot(active_pos_[f]);
       complete(f, now, ready);
     }

@@ -123,11 +123,11 @@ struct EngineOptions {
   /// Word budget for the solve cache's content + rate arenas (8 bytes per
   /// word): insertion stops once storing another entry would exceed it, so
   /// this bounds the cache's memory, not its lifetime. The default (8M
-  /// words = 64 MiB) suits fleets of engines solving small components;
-  /// steady-state sweep drivers replaying a few giant solves (the mapreduce
-  /// shuffle: ~8 MB of content per event) should raise it so a whole
+  /// words = 64 MiB) suits engines solving small components; a caller that
+  /// replays one program of a few giant solves on a persistent engine (the
+  /// mapreduce shuffle: ~8 MB of content per event) should raise it so the
   /// program's solve sequence stays resident across run() calls — see
-  /// bench/perf_engine's --solve-cache-mb.
+  /// bench/perf_engine's --solve-cache-mb and perfbench's warm-replay.
   std::size_t solve_cache_budget_words = 8u << 20;
   /// Measure wall time spent in rate recomputation (dirty-component
   /// collection + solver) into SimResult::solve_seconds, plus the other
@@ -635,34 +635,21 @@ class FlowEngine {
   std::vector<double> slot_rate_;
   std::vector<double> slot_finish_;  // absolute predicted finish per slot
   std::vector<std::uint32_t> active_pos_;  // flow -> slot (valid iff active)
-  /// Min-heap over predicted finish times (indexed events; ties break by
-  /// flow index) with lazy deletion: an entry is live iff its flow is
-  /// active AND its finish bits equal the flow's current slot_finish_. Any
-  /// sweep event leaves it stale (the sweep does not maintain it); the next
-  /// indexed event rebuilds. Never allocated while every event sweeps.
-  struct FinishEntry {
-    double finish;
-    FlowIndex flow;
-  };
-  std::vector<FinishEntry> finish_heap_;
-  bool finish_heap_stale_ = true;
-  std::vector<FlowIndex> changed_scratch_;  // rate-changed flows this event
   std::vector<FlowIndex> harvest_scratch_;  // completion batch this event
   /// Flow-index bitmap used to put a dense completion batch into canonical
-  /// ascending-flow order (and dedup lazy-heap duplicates) without
-  /// sorting: set a bit per harvested flow, then scan the touched word
-  /// range with ctz. O(batch + range/64) — the mapreduce shuffle harvests
-  /// ~30k flows per phase event. A batch whose word range exceeds
-  /// batch * log2(batch) is sorted instead. Words are zeroed on extraction,
-  /// so the vector stays all-zero between events.
+  /// ascending-flow order without sorting: set a bit per harvested flow,
+  /// then scan the touched word range with ctz. O(batch + range/64) — the
+  /// mapreduce shuffle harvests ~30k flows per phase event. A batch whose
+  /// word range exceeds batch * log2(batch) is sorted instead. Words are
+  /// zeroed on extraction, so the vector stays all-zero between events.
   std::vector<std::uint64_t> finished_mask_;
-  /// Completion candidates collected by a sweep event's select phase (the
-  /// fused whole-set sweep or collect_finish_candidates): slots whose
-  /// predicted finish was <= a running deadline bound derived from the
-  /// running min finish. The bound only tightens as the sweep proceeds, so
-  /// the list is always a superset of the true harvest; the complete phase
-  /// filters it against the actual deadline instead of re-scanning all of
-  /// slot_finish_.
+  /// Completion candidates collected by every event's select phase (the
+  /// fused whole-set sweep or collect_finish_candidates): distinct slots
+  /// whose predicted finish was <= a running deadline bound derived from
+  /// the running min finish. The bound only tightens as the scan proceeds,
+  /// so the list is always a superset of the true harvest; the complete
+  /// phase filters it against the actual deadline instead of re-scanning
+  /// all of slot_finish_.
   std::vector<std::uint32_t> cand_slots_;
 
   /// Rebases slot s's remaining/latency_left to time `at` using the rate
@@ -683,11 +670,9 @@ class FlowEngine {
   /// The advance kernel: quantises each solved flow's raw rate, settles
   /// flows whose quantised rate differs from the one their finish time was
   /// computed with (slot_rate_), refreshes their predicted finish, and
-  /// collects zero-rate actives into `zero_out` (and, when non-null,
-  /// rate-changed flows into `changed_out`).
+  /// collects zero-rate actives into `zero_out`.
   void advance_flows(std::span<const FlowIndex> flows, double now,
-                     std::vector<FlowIndex>& zero_out,
-                     std::vector<FlowIndex>* changed_out);
+                     std::vector<FlowIndex>& zero_out);
   /// Fused whole-set sweep for events whose solved span IS active_flows_
   /// (whole-set cache hits, threshold/bailed solves): iterates slots in
   /// order — skipping the flow->slot gather advance_flows needs for
@@ -705,8 +690,6 @@ class FlowEngine {
                                            const double* slot_rates);
   /// Minimum of slot_finish_ over all live slots; fills cand_slots_.
   [[nodiscard]] double collect_finish_candidates(double now);
-  /// Rebuilds finish_heap_ from the live slots, clears the stale flag.
-  void rebuild_finish_heap();
 
   /// Dependency-free flows waiting for their release time, earliest first.
   /// Restart-backoff retries park here too (at now + backoff).

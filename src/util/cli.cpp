@@ -32,6 +32,17 @@ T parse_number(std::string_view flag, const std::string& text,
 
 }  // namespace
 
+int run_cli_main(std::string_view program, int (*body)(int, char**),
+                 int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(program.size()),
+                 program.data(), error.what());
+    return 2;
+  }
+}
+
 CliParser::CliParser(std::string program_name, std::string description)
     : program_name_(std::move(program_name)),
       description_(std::move(description)) {}

@@ -34,6 +34,16 @@ class CliError : public std::runtime_error {
   std::string flag_;
 };
 
+/// The exception boundary of every command-line driver: `main` returns
+/// run_cli_main("name", run, argc, argv). Any std::exception escaping
+/// `body` — a CliError from a typed accessor, a std::invalid_argument from
+/// a topology or workload spec, an EngineError — is printed as
+/// "<program>: <message>" on stderr and becomes exit status 2, instead of
+/// reaching std::terminate and aborting.
+[[nodiscard]] int run_cli_main(std::string_view program,
+                               int (*body)(int, char**), int argc,
+                               char** argv);
+
 class CliParser {
  public:
   /// program_name and description feed the usage text.

@@ -6,8 +6,8 @@
 // everything: all active flows go through the standalone maxmin_fair_rates
 // from scratch, every flow is re-checked for a rate change, and the
 // earliest finish and the completion batch come from a full sweep. There
-// is no incremental component solve, no route or solve cache and no
-// dispatch index — so a bug in any of those FlowEngine layers shows up as a
+// is no incremental component solve, no route or solve cache and no lazy
+// dispatch — so a bug in any of those FlowEngine layers shows up as a
 // difference instead of being shared by both sides of the comparison.
 //
 // What it shares with FlowEngine: the topology's routing function

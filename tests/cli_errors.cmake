@@ -1,0 +1,56 @@
+# Malformed command-line values: each driver must exit with status 2 and
+# name the offending flag or token on standard error — the message of the
+# CliError or std::invalid_argument that run_cli_main (util/cli.hpp)
+# reports — instead of aborting through std::terminate.
+#
+# ctest runs it as
+#
+#   cmake -DFIG4=<fig4_heavy> -DTABLE1=<table1_distances>
+#         -DPERF=<perf_engine> -P tests/cli_errors.cmake
+#
+# The perf_engine calls also ask for a small cell and no output file, so
+# that a binary which accepts the malformed token fails this test in well
+# under a second instead of benchmarking.
+cmake_minimum_required(VERSION 3.20)
+
+foreach(var FIG4 TABLE1 PERF)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "cli_errors: -D${var}=... is required")
+  endif()
+endforeach()
+
+set(failures "")
+
+# expect_rejected(<text stderr must contain> <binary> <arguments>...)
+function(expect_rejected expected binary)
+  execute_process(
+    COMMAND "${binary}" ${ARGN}
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr)
+  get_filename_component(name "${binary}" NAME)
+  string(REPLACE ";" " " args "${ARGN}")
+  string(STRIP "${stderr}" stderr)
+  string(FIND "${stderr}" "${expected}" at)
+  if(NOT status STREQUAL "2" OR at EQUAL -1)
+    string(APPEND failures "\n${name} ${args}: exit status '${status}' "
+      "(want 2), stderr '${stderr}' (want it to contain '${expected}')")
+    set(failures "${failures}" PARENT_SCOPE)
+  else()
+    message(STATUS "${name} ${args}: exit 2, ${stderr}")
+  endif()
+endfunction()
+
+expect_rejected("--nodes" "${FIG4}" --nodes abc)
+expect_rejected("bogus" "${FIG4}" --workloads bogus)
+expect_rejected("--nodes" "${TABLE1}" --nodes abc)
+set(quick --nodes 64 --repeat 1 --optimized-only --out /dev/null)
+expect_rejected("nestghc-t2-u4junk" "${PERF}" --points nestghc-t2-u4junk
+  ${quick})
+expect_rejected("nestghc-t-1-u4" "${PERF}" --points nestghc-t-1-u4 ${quick})
+expect_rejected("bogus" "${PERF}" --points bogus ${quick})
+
+if(failures)
+  message(FATAL_ERROR "drivers that did not reject a malformed value:"
+    "${failures}")
+endif()

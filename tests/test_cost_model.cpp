@@ -50,7 +50,8 @@ TEST(CostModel, CustomRatios) {
 }
 
 TEST(CostModel, ZeroQfdbsRejected) {
-  EXPECT_THROW(estimate_overhead(0, 10), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(estimate_overhead(0, 10)),
+               std::invalid_argument);
 }
 
 TEST(SystemModel, PackagingArithmetic) {

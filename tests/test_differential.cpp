@@ -168,7 +168,7 @@ TEST(Differential, BitIdenticalAtFigureSettings) {
 TEST(Differential, BitIdenticalWithQuantizationAndLatency) {
   // Quantisation forces frequent whole-set rate changes; hop latency
   // exercises the max(latency, transfer) branch of the predicted finish
-  // times the dispatch index orders by.
+  // times the dispatch kernel selects from.
   EngineOptions options;
   options.rate_quantum_rel = 0.05;
   options.hop_latency_seconds = 1e-6;

@@ -118,7 +118,8 @@ TEST(Percentile, Basics) {
 }
 
 TEST(Percentile, EmptyThrows) {
-  EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(percentile({}, 0.5)),
+               std::invalid_argument);
 }
 
 }  // namespace

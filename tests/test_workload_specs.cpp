@@ -23,7 +23,9 @@ TEST(WorkloadSpec, BytesOverrideApplies) {
   const auto program =
       make_workload("allreduce:bytes=1048576")->generate(ctx(16));
   for (const auto& flow : program.flows()) {
-    if (!flow.is_sync) EXPECT_DOUBLE_EQ(flow.bytes, 1048576.0);
+    if (!flow.is_sync) {
+      EXPECT_DOUBLE_EQ(flow.bytes, 1048576.0);
+    }
   }
 }
 

@@ -54,7 +54,9 @@ TEST_P(WorkloadCatalogTest, NoDataFlowTargetsItself) {
   const auto workload = make_workload(GetParam());
   const auto program = workload->generate(ctx(64, 3));
   for (const auto& flow : program.flows()) {
-    if (!flow.is_sync) EXPECT_NE(flow.src, flow.dst);
+    if (!flow.is_sync) {
+      EXPECT_NE(flow.src, flow.dst);
+    }
   }
 }
 
@@ -62,7 +64,9 @@ TEST_P(WorkloadCatalogTest, PositiveFlowSizes) {
   const auto workload = make_workload(GetParam());
   const auto program = workload->generate(ctx(64, 5));
   for (const auto& flow : program.flows()) {
-    if (!flow.is_sync) EXPECT_GT(flow.bytes, 0.0);
+    if (!flow.is_sync) {
+      EXPECT_GT(flow.bytes, 0.0);
+    }
   }
 }
 
