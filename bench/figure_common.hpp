@@ -4,15 +4,19 @@
 // paper's bar groups; values are normalised to the reference fat-tree).
 // --t and --u narrow the hybrid rows of the matrix; the Fattree and
 // Torus3D reference points always run, since every panel is normalised to
-// the Fattree cell.
+// the Fattree cell. A machine size at which a panel would have no Fattree
+// cell or no hybrid cell is rejected before any simulation runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -78,6 +82,36 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
                                           it->second, cli.get_uint("nodes"))
                                     : cli.get_uint("nodes");
     by_nodes[nodes].push_back(name);
+  }
+
+  const auto matrix = paper_topology_matrix(t_values, u_values);
+  for (const auto& [nodes, workloads] : by_nodes) {
+    const auto builds = [n = nodes](const TopologyPoint& point) {
+      try {
+        static_cast<void>(build_point(point, n));
+        return true;
+      } catch (const std::invalid_argument&) {
+        return false;
+      }
+    };
+    std::string missing;
+    if (!builds(TopologyPoint{"Fattree", 0, 0, std::nullopt})) {
+      missing = "the Fattree point, every panel's normalisation base,";
+    } else if (std::none_of(matrix.begin(), matrix.end(),
+                            [&](const TopologyPoint& p) {
+                              return p.t != 0 && builds(p);
+                            })) {
+      missing = "any NestGHC or NestTree point";
+    }
+    if (!missing.empty()) {
+      std::string panels;
+      for (const auto& name : workloads) {
+        panels += (panels.empty() ? "" : ", ") + name;
+      }
+      throw CliError("nodes", "cannot build " + missing + " at N = " +
+                                  std::to_string(nodes) + " (panels: " +
+                                  panels + ")");
+    }
   }
 
   std::printf("== %s ==\n", spec.figure_name.c_str());

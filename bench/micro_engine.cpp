@@ -68,9 +68,12 @@ void BM_EngineUnstructuredTorus(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineUnstructuredTorus)->Arg(256)->Arg(1024);
 
-void BM_DagConstruction(benchmark::State& state) {
+/// Sweep3D's rows are tiny and its edges arrive almost in parent order;
+/// MapReduce's arrive out of parent order, and one barrier row holds the
+/// whole shuffle (N = 512: 522 242 edges, a 260 610-child row).
+void BM_DagConstruction(benchmark::State& state, const char* workload_name) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  const auto workload = make_workload("sweep3d");
+  const auto workload = make_workload(workload_name);
   WorkloadContext context;
   context.num_tasks = nodes;
   context.seed = 1;
@@ -81,7 +84,8 @@ void BM_DagConstruction(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * program.num_flows());
 }
-BENCHMARK(BM_DagConstruction)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_DagConstruction, sweep3d, "sweep3d")->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_DagConstruction, mapreduce, "mapreduce")->Arg(512);
 
 void BM_WorkloadGeneration(benchmark::State& state) {
   const auto workload = make_workload("unstructured-mgnt");

@@ -26,8 +26,10 @@
 // Every cell cross-checks bit-identity three ways (baseline vs optimized,
 // and cold vs steady within each mode) on the full physical metric set — a
 // free A/B of the bit-identity contract — and the binary exits non-zero on
-// any mismatch or when a gate is not met. See EXPERIMENTS.md for the
-// schema and scripts/run_bench.sh for the canonical invocation.
+// any mismatch or when a gate is not met. A --points entry that cannot be
+// built at --nodes is skipped with a message; a run left with no cell
+// exits 2. See EXPERIMENTS.md for the schema and scripts/run_bench.sh for
+// the canonical invocation.
 //
 // Schema v4 adds memory accounting per cell: peak_rss_bytes (VmHWM from
 // /proc/self/status — the process high-water mark as of the end of the
@@ -464,6 +466,12 @@ int run(int argc, char** argv) {
                 << static_cast<double>(cell_rss) / (1024.0 * 1024.0 * 1024.0)
                 << " GiB\n";
     }
+  }
+  if (first_cell) {
+    // A point that cannot be built is skipped, but a run that skipped them
+    // all timed nothing: fail rather than let a gate pass on no cells.
+    throw CliError("points", "no point can be built at --nodes " +
+                                 std::to_string(nodes));
   }
   out << "\n  ]\n}\n";
 

@@ -1,7 +1,8 @@
-# Malformed command-line values: each driver must exit with status 2 and
-# name the offending flag or token on standard error — the message of the
-# CliError or std::invalid_argument that run_cli_main (util/cli.hpp)
-# reports — instead of aborting through std::terminate.
+# Malformed or unusable command-line values: each driver must exit with
+# status 2 and name the offending flag or token on standard error — the
+# message of the CliError or std::invalid_argument that run_cli_main
+# (util/cli.hpp) reports — instead of aborting through std::terminate or
+# exiting 0 having run nothing.
 #
 # ctest runs it as
 #
@@ -49,8 +50,13 @@ expect_rejected("nestghc-t2-u4junk" "${PERF}" --points nestghc-t2-u4junk
   ${quick})
 expect_rejected("nestghc-t-1-u4" "${PERF}" --points nestghc-t-1-u4 ${quick})
 expect_rejected("bogus" "${PERF}" --points bogus ${quick})
+# Well-formed values that leave nothing to run: no --points entry can be
+# built at --nodes 64 (t = 3 divides no global dimension), and at
+# --nodes 3 only the Fattree point of the figure matrix can be built.
+expect_rejected("--points" "${PERF}" --points nestghc-t3-u4 ${quick})
+expect_rejected("--nodes" "${FIG4}" --nodes 3 --workloads reduce --threads 1)
 
 if(failures)
-  message(FATAL_ERROR "drivers that did not reject a malformed value:"
-    "${failures}")
+  message(FATAL_ERROR "drivers that did not reject a malformed or "
+    "unusable value:" "${failures}")
 endif()
