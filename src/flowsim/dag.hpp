@@ -13,7 +13,9 @@ namespace nestflow {
 
 class DependencyDag {
  public:
-  /// Throws std::invalid_argument if the dependency relation has a cycle.
+  /// Throws std::invalid_argument if an edge references a missing flow or
+  /// the dependency relation has a cycle; TrafficProgram::validate leaves
+  /// the edges to this check.
   /// Duplicate (before, after) edges are collapsed into one. Runs in
   /// O(flows + edges) when each flow's children were added in ascending
   /// order; a flow whose children were not has its own row sorted.

@@ -71,12 +71,6 @@ void TrafficProgram::validate(std::uint32_t num_endpoints) const {
                                   " references endpoint out of range");
     }
   }
-  for (const auto& [before, after] : deps_) {
-    if (before >= flows_.size() || after >= flows_.size()) {
-      throw std::invalid_argument("TrafficProgram: dependency references "
-                                  "missing flow");
-    }
-  }
 }
 
 void TrafficProgram::reserve(std::size_t flows, std::size_t deps) {

@@ -86,7 +86,8 @@ class TrafficProgram {
   [[nodiscard]] std::uint32_t num_data_flows() const noexcept;
 
   /// Throws std::invalid_argument if any flow references an endpoint
-  /// >= num_endpoints or any dependency references a missing flow.
+  /// >= num_endpoints. Checks endpoints only: the DependencyDag built from
+  /// this program checks every dependency edge (missing flows, cycles).
   void validate(std::uint32_t num_endpoints) const;
 
   void reserve(std::size_t flows, std::size_t deps);

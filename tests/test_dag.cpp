@@ -10,7 +10,11 @@
 #include <utility>
 #include <vector>
 
+#include "flowsim/engine.hpp"
+#include "flowsim/metrics.hpp"
+#include "topo/torus.hpp"
 #include "util/prng.hpp"
+#include "verify/reference_engine.hpp"
 #include "workloads/factory.hpp"
 
 namespace nestflow {
@@ -88,6 +92,21 @@ TEST(Dag, BadEdgeRejected) {
   program.add_flow(0, 1, 1.0);
   program.add_dependency(0, 5);  // flow 5 never created
   EXPECT_THROW(DependencyDag dag(program), std::invalid_argument);
+}
+
+// TrafficProgram::validate checks endpoints only; every engine entry point
+// must still reject a dangling edge through the DAG it builds.
+TEST(Dag, EntryPointsRejectDanglingEdge) {
+  const TorusTopology torus({4, 4});
+  TrafficProgram program;
+  program.add_flow(0, 1, 1.0);
+  program.add_dependency(0, 5);  // flow 5 never created
+  FlowEngine engine(torus);
+  verify::ReferenceEngine reference(torus);
+  EXPECT_THROW((void)engine.run(program), std::invalid_argument);
+  EXPECT_THROW((void)reference.run(program), std::invalid_argument);
+  EXPECT_THROW((void)critical_path_seconds(torus, program),
+               std::invalid_argument);
 }
 
 TEST(Dag, ChildrenOutOfRangeThrows) {
