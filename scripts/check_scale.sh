@@ -26,7 +26,6 @@ mkdir -p "$repo_root/build/artifacts"
   --nodes "$nodes" \
   --workloads nearneighbors \
   --points nestghc-t2-u4 \
-  --repeat 1 \
   --optimized-only \
   --max-rss-gb "$rss_gb" \
   --out "$repo_root/build/artifacts/BENCH_scale_smoke.json"

@@ -45,7 +45,7 @@ endfunction()
 expect_rejected("--nodes" "${FIG4}" --nodes abc)
 expect_rejected("bogus" "${FIG4}" --workloads bogus)
 expect_rejected("--nodes" "${TABLE1}" --nodes abc)
-set(quick --nodes 64 --repeat 1 --optimized-only --out /dev/null)
+set(quick --nodes 64 --optimized-only --out /dev/null)
 expect_rejected("nestghc-t2-u4junk" "${PERF}" --points nestghc-t2-u4junk
   ${quick})
 expect_rejected("nestghc-t-1-u4" "${PERF}" --points nestghc-t-1-u4 ${quick})
@@ -55,6 +55,10 @@ expect_rejected("bogus" "${PERF}" --points bogus ${quick})
 # --nodes 3 only the Fattree point of the figure matrix can be built.
 expect_rejected("--points" "${PERF}" --points nestghc-t3-u4 ${quick})
 expect_rejected("--nodes" "${FIG4}" --nodes 3 --workloads reduce --threads 1)
+# An --out that cannot be written fails before any cell is timed, so no gate
+# passes without its record.
+expect_rejected("--out" "${PERF}" --nodes 64 --points fattree
+  --workloads reduce --optimized-only --out /dev/full)
 
 if(failures)
   message(FATAL_ERROR "drivers that did not reject a malformed or "
