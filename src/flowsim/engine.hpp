@@ -123,11 +123,12 @@ struct EngineOptions {
   /// Word budget for the solve cache's content + rate arenas (8 bytes per
   /// word): insertion stops once storing another entry would exceed it, so
   /// this bounds the cache's memory, not its lifetime. The default (8M
-  /// words = 64 MiB) suits engines solving small components; a caller that
-  /// replays one program of a few giant solves on a persistent engine (the
-  /// mapreduce shuffle: ~8 MB of content per event) should raise it so the
-  /// program's solve sequence stays resident across run() calls — see
-  /// bench/perf_engine's --solve-cache-mb and perfbench's warm-replay.
+  /// words = 64 MiB) suits engines solving small components and holds the
+  /// N = 1024 mapreduce shuffle's one giant arrival entry (~2.1M words of
+  /// key and rates); a caller that replays bigger programs on a persistent
+  /// engine should raise it so their memoized solves stay resident across
+  /// run() calls. bench/perf_engine's kSolveCacheWords and perfbench's
+  /// warm-replay pass 64M words (512 MiB).
   std::size_t solve_cache_budget_words = 8u << 20;
   /// Measure wall time spent in rate recomputation (dirty-component
   /// collection + solver) into SimResult::solve_seconds, plus the other
@@ -382,9 +383,10 @@ class FlowEngine {
   /// canonical whole-set link order every whole-set solve (and solve-cache
   /// key) uses.
   void prune_used_links();
-  /// Solves components_ in discovery order, each from the solve cache when
-  /// its content was memoized and by the solver (then memoized) otherwise.
-  void solve_components(SimResult& result);
+  /// Solves components_ in discovery order. With `memoize` set, each comes
+  /// from the solve cache when its content was memoized and from the solver
+  /// (then memoized) otherwise; without it, from the solver alone.
+  void solve_components(SimResult& result, bool memoize);
   /// Looks the whole active set (used_links_, active_flows_) up in the
   /// solve cache by exact content. On a hit points whole_hit_slot_rates_ at
   /// the memoized rates and returns true; on a cacheable miss arms
@@ -550,7 +552,13 @@ class FlowEngine {
   // give flows a stable identity), adaptive routing is off (the one-shot
   // figure runs, where it costs more than it saves) and every flow weight
   // is 1 (equal-weight flows are bit-exactly exchangeable in the solver;
-  // weighted ones are not). Persists across run() calls; insertion stops at
+  // weighted ones are not). Even then only an event that follows an
+  // activation, a detach or a capacity change (non_departure_change_)
+  // probes or inserts it: a departure-only event resumes the round log
+  // exactly in O(departed), so memoizing it buys a replay nothing and costs
+  // a one-shot run an O(active) key, a stored copy of that key and its
+  // rates, and the page faults of a cache that grows with them (DESIGN.md
+  // §6). Persists across run() calls; insertion stops at
   // EngineOptions::solve_cache_budget_words.
   struct SolveCacheEntry {
     std::uint64_t key_offset;
@@ -566,13 +574,15 @@ class FlowEngine {
   bool solve_cache_active_ = false;  // resolved per run()
   bool solve_insert_armed_ = false;  // miss was cacheable; insert after solve
   std::uint64_t solve_key_hash_ = 0;
-  /// Probe-first whole-set hint: set whenever an event's solve covered the
-  /// whole active set (threshold, BFS bail, or a previous probe), cleared
-  /// after two consecutive probe misses. While set, events skip the
-  /// component BFS and look the canonical whole-set key up directly —
-  /// phase-structured giant workloads (the mapreduce shuffle) then pay one
-  /// key build per event instead of an O(active) component walk. Purely a
-  /// work-routing decision: rates are bit-identical either way.
+  /// Probe-first whole-set hint: set whenever an event that may memoize
+  /// solved the whole active set (threshold, BFS bail or a previous probe),
+  /// cleared after two consecutive probe misses. While set, such an event —
+  /// one with arrivals, such as each step of sweep3d's wavefront — skips
+  /// the component BFS and looks the canonical whole-set key up directly,
+  /// so a replay pays one key build per arrival event instead of an
+  /// O(active) component walk. Departure-only events neither read nor set
+  /// it. Purely a work-routing decision: rates are bit-identical either
+  /// way.
   bool whole_set_hint_ = false;
   std::uint32_t whole_probe_misses_ = 0;
   /// Set by a whole-set cache hit, whose rates this event's fused sweep
@@ -696,12 +706,15 @@ class FlowEngine {
   std::vector<std::pair<double, FlowIndex>> release_queue_;  // min-heap
   FairShareSolver<EngineContext> solver_;
   /// True while solver_'s round log describes the active set as of the last
-  /// whole-set solve plus the departures in departed_, so the next
-  /// whole-set solve may resume it (DESIGN.md §11) and advance only the
-  /// flows it refreezes (§12). Needs unit weights; cleared by any
-  /// activation, detach, capacity change, component solve or whole-set
-  /// solve-cache hit.
+  /// whole-set solve plus the departures in departed_, so the next event
+  /// resumes it (DESIGN.md §11) and advances only the flows it refreezes
+  /// (§12). Needs unit weights; cleared by any activation, detach, capacity
+  /// change, component solve or whole-set solve-cache hit.
   bool solve_log_valid_ = false;
+  /// Set by an activation, a detach or a capacity change, cleared by every
+  /// solve: false means only departures happened since the last solve. Only
+  /// events with it set may probe or insert the solve cache.
+  bool non_departure_change_ = false;
   bool unit_weights_ = false;  // every flow weight of this run is 1
   std::vector<FlowIndex> departed_;  // completed since the last solve
   Path route_scratch_;

@@ -292,7 +292,8 @@ TEST(Differential, TimelineRunsBitIdenticalToReference) {
 TEST(Differential, WarmRunsReplayColdRunExactly) {
   for (const std::string family : {"nestghc:64,2,2", "fattree:4,4"}) {
     const auto topo = make_topology(family);
-    for (const std::string spec : {"sweep3d", "nearneighbors", "allreduce"}) {
+    for (const std::string spec :
+         {"sweep3d", "nearneighbors", "allreduce", "mapreduce"}) {
       const TrafficProgram program = generate(*topo, spec);
       const std::string context = family + " x " + spec;
       check_against_reference(
@@ -314,6 +315,51 @@ TEST(Differential, WarmRunsReplayColdRunExactly) {
             return cold;
           });
     }
+  }
+}
+
+/// Only an event with arrivals, detaches or capacity changes since the last
+/// solve may probe or insert the solve cache: a departure-only event with a
+/// valid round log resumes exactly (DESIGN.md §11), so memoizing it buys a
+/// replay nothing. A fan-out from one endpoint (distinct sizes over one
+/// shared injection link) has one arrival event and then only departures,
+/// so every run looks the cache up exactly once. A MapReduce mixes both
+/// kinds of event, so it looks up on fewer events than it has, and its warm
+/// runs repeat the cold run's physics and lookups exactly.
+TEST(Differential, DepartureOnlyEventsBypassTheSolveCache) {
+  const auto topo = make_topology("nestghc:64,2,2");
+  TrafficProgram fan_out;
+  for (std::uint32_t dst = 1; dst <= 8; ++dst) {
+    (void)fan_out.add_flow(0, dst, 1e6 * dst);
+  }
+  const struct {
+    const char* name;
+    TrafficProgram program;
+    std::uint64_t lookups;  // per run; 0 = only "fewer than events"
+  } cases[] = {{"fan-out", fan_out, 1},
+                {"mapreduce", generate(*topo, "mapreduce"), 0}};
+  const auto lookups = [](const SimResult& r) {
+    return r.solve_cache_hits + r.solve_cache_misses;
+  };
+  for (const auto& c : cases) {
+    check_against_reference(
+        c.name, {}, [&]<typename Engine>(const EngineOptions& options) {
+          Engine engine(*topo, options);
+          const SimResult cold = engine.run(c.program);
+          if constexpr (std::is_same_v<Engine, FlowEngine>) {
+            EXPECT_GT(lookups(cold), 0u) << c.name;
+            EXPECT_LT(lookups(cold), cold.events) << c.name;
+            if (c.lookups != 0) {
+              EXPECT_EQ(lookups(cold), c.lookups) << c.name;
+            }
+            for (int warm = 0; warm < 3; ++warm) {
+              const SimResult again = engine.run(c.program);
+              expect_identical(cold, again, std::string(c.name) + " (warm)");
+              EXPECT_EQ(lookups(again), lookups(cold)) << c.name;
+            }
+          }
+          return cold;
+        });
   }
 }
 
