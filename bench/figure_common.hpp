@@ -72,6 +72,8 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
   };
   const std::vector<std::uint32_t> t_values = matrix_values("t");
   const std::vector<std::uint32_t> u_values = matrix_values("u");
+  const double quantum = cli.get_non_negative_double("quantum");
+  const double latency = cli.get_non_negative_double("latency");
 
   // Group workloads by effective machine size so each group is one sweep.
   std::map<std::uint64_t, std::vector<std::string>> by_nodes;
@@ -124,9 +126,9 @@ inline int run_figure(const FigureSpec& spec, int argc, const char* const* argv)
     config.u_values = u_values;
     config.seed = cli.get_uint("seed");
     config.threads = static_cast<std::uint32_t>(cli.get_uint("threads"));
-    config.engine.rate_quantum_rel = cli.get_double("quantum");
+    config.engine.rate_quantum_rel = quantum;
     config.engine.completion_batch_rel = 1e-3;
-    config.engine.hop_latency_seconds = cli.get_double("latency");
+    config.engine.hop_latency_seconds = latency;
     config.verbose = cli.get_bool("verbose");
     auto cells = run_simulation_sweep(config);
     for (auto& cell : cells) all_cells.push_back(std::move(cell));

@@ -86,6 +86,10 @@ int run(int argc, char** argv) {
   cli.add_option("latency", "per-hop latency in seconds", "0");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
+  EngineOptions options;
+  options.hop_latency_seconds = cli.get_non_negative_double("latency");
+  options.record_flow_times = true;
+
   std::string trace_path = cli.get_string("trace");
   if (trace_path.empty()) {
     trace_path = "/tmp/nestflow_demo_trace.txt";
@@ -111,9 +115,6 @@ int run(int argc, char** argv) {
               format_bytes(program.total_bytes()).c_str(),
               topology->name().c_str());
 
-  EngineOptions options;
-  options.hop_latency_seconds = cli.get_double("latency");
-  options.record_flow_times = true;
   FlowEngine engine(*topology, options);
   const auto result = engine.run(program);
 

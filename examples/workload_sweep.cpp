@@ -51,6 +51,10 @@ int run(int argc, char** argv) {
   cli.add_option("latency", "per-hop latency in seconds", "5e-7");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
+  EngineOptions options;
+  options.rate_quantum_rel = cli.get_non_negative_double("quantum");
+  options.hop_latency_seconds = cli.get_non_negative_double("latency");
+
   const auto nodes = cli.get_uint("nodes");
   const auto workload = make_workload(cli.get_string("workload"));
   WorkloadContext context;
@@ -60,10 +64,6 @@ int run(int argc, char** argv) {
   std::printf("workload %s: %u flows, %s total\n\n", workload->name().c_str(),
               program.num_data_flows(),
               format_bytes(program.total_bytes()).c_str());
-
-  EngineOptions options;
-  options.rate_quantum_rel = cli.get_double("quantum");
-  options.hop_latency_seconds = cli.get_double("latency");
 
   Table table({"topology", "makespan", "vs best", "bottleneck util",
                "avg active", "events"});

@@ -80,7 +80,7 @@ enum class RecoveryPolicy : std::uint8_t {
 /// How often an attached FlowAuditor (see flowsim/audit.hpp and the
 /// InvariantAuditor in src/verify/) is consulted. kOff leaves every audit
 /// branch cold — a run with kOff and no auditor attached is bit-identical
-/// to the pre-audit engine.
+/// to an audited one.
 enum class AuditLevel : std::uint8_t {
   kOff,       // never consult the auditor
   kPerRun,    // on_run_start + on_run_end only (cheap end-state oracles)
@@ -387,28 +387,20 @@ class FlowEngine {
   /// from the solve cache when its content was memoized and from the solver
   /// (then memoized) otherwise; without it, from the solver alone.
   void solve_components(SimResult& result, bool memoize);
-  /// Looks the whole active set (used_links_, active_flows_) up in the
-  /// solve cache by exact content. On a hit points whole_hit_slot_rates_ at
-  /// the memoized rates and returns true; on a cacheable miss arms
-  /// solve_cache_insert(). Returns false (and stays unarmed) when any
-  /// active flow lacks a stable path identity (extent not owned by the
-  /// route cache).
-  [[nodiscard]] bool try_cached_whole_solve(SimResult& result);
-  /// Stores the just-solved whole set's content and rates.
-  void solve_cache_insert();
-  /// Serialises (links, flows) into `key` in the given order — the blob
-  /// layout every solve-cache entry uses — and returns its FNV-1a hash.
-  std::uint64_t build_solve_key(std::span<const LinkId> links,
-                                std::span<const FlowIndex> flows,
-                                std::vector<std::uint64_t>& key) const;
-  /// Finds a verified cache entry for `key`; returns its memoized rates (in
-  /// blob flow order) or nullptr.
-  [[nodiscard]] const double* find_cached_rates(
-      std::span<const std::uint64_t> key, std::uint64_t hash) const;
-  /// Appends (key, rates of `flows`) to the cache arenas under `hash`.
-  void insert_solved_rates(std::span<const std::uint64_t> key,
-                           std::uint64_t hash,
-                           std::span<const FlowIndex> flows);
+  /// Looks the max-min problem (links, flows) up in the solve cache by
+  /// exact content — the whole active set (used_links_, active_flows_) or
+  /// one component. Returns the memoized rates in `flows` order on a hit.
+  /// On a miss returns nullptr and arms store_solve_cache() when the entry
+  /// would fit the budget. Counts a hit or a miss, except when some flow
+  /// lacks a stable path identity (extent not owned by the route cache):
+  /// that problem is not memoizable, and the probe returns nullptr unarmed.
+  [[nodiscard]] const double* probe_solve_cache(
+      std::span<const LinkId> links, std::span<const FlowIndex> flows,
+      SimResult& result);
+  /// Stores the last probed key with the just-solved rates of `flows` (the
+  /// probed flows, in the same order) when that probe armed it; a no-op
+  /// otherwise.
+  void store_solve_cache(std::span<const FlowIndex> flows);
   /// Empties the solve cache (capacity edits would leave dead entries —
   /// they can never match again, since capacity bits are part of the key).
   void drop_solve_cache();
@@ -490,9 +482,8 @@ class FlowEngine {
       if (n * 2 > slots_.size()) grow(n * 2);
     }
     /// Pulls a key's home bucket toward the cache ahead of find(). The
-    /// table probes DRAM in hash order (unlike the node-based map it
-    /// replaced, whose pool pages followed first-activation order), so a
-    /// steady-state replay loop otherwise eats one cold miss per lookup.
+    /// table probes DRAM in hash order, not in first-activation order, so
+    /// a steady-state replay loop otherwise eats one cold miss per lookup.
     void prefetch(std::uint64_t key) const noexcept {
       if (!slots_.empty()) __builtin_prefetch(slots_.data() + bucket(key));
     }
@@ -544,7 +535,7 @@ class FlowEngine {
   // sweeps) re-pose bit-identical allocation problems over and over. The
   // content — (link, capacity, weight-sum) triples plus flow (offset,
   // length) extents, both in BFS-discovery order (exact without
-  // canonicalisation: see build_solve_key) — is stored verbatim in
+  // canonicalisation: see probe_solve_cache) — is stored verbatim in
   // solve_key_arena_ and verified word-for-word on lookup; the hash only
   // picks the bucket, so a collision can never replay wrong rates. Rates
   // are stored positionally (blob position i = discovery position i).
@@ -572,27 +563,8 @@ class FlowEngine {
   std::vector<double> solve_rates_arena_;
   std::vector<std::uint64_t> solve_key_;  // current solve's content blob
   bool solve_cache_active_ = false;  // resolved per run()
-  bool solve_insert_armed_ = false;  // miss was cacheable; insert after solve
+  bool solve_insert_armed_ = false;  // miss was cacheable; store after solve
   std::uint64_t solve_key_hash_ = 0;
-  /// Probe-first whole-set hint: set whenever an event that may memoize
-  /// solved the whole active set (threshold, BFS bail or a previous probe),
-  /// cleared after two consecutive probe misses. While set, such an event —
-  /// one with arrivals, such as each step of sweep3d's wavefront — skips
-  /// the component BFS and looks the canonical whole-set key up directly,
-  /// so a replay pays one key build per arrival event instead of an
-  /// O(active) component walk. Departure-only events neither read nor set
-  /// it. Purely a work-routing decision: rates are bit-identical either
-  /// way.
-  bool whole_set_hint_ = false;
-  std::uint32_t whole_probe_misses_ = 0;
-  /// Set by a whole-set cache hit, whose rates this event's fused sweep
-  /// consumes (a whole-set event always sweeps): points at the memo blob —
-  /// slot order — inside solve_rates_arena_, which cannot reallocate before
-  /// the sweep runs (inserts only happen on miss events). There is no
-  /// replay scatter into rates_: nothing reads a flow's rates_ entry again
-  /// before a solve rewrites it (the hit invalidates the round log). Cleared
-  /// every event.
-  const double* whole_hit_slot_rates_ = nullptr;
 
   // Incremental-solver state.
   std::vector<std::uint8_t> link_dirty_;
@@ -674,8 +646,7 @@ class FlowEngine {
   [[nodiscard]] double settled_latency_left(FlowIndex f,
                                             double at) const noexcept;
   /// Swap-compacts slot s out of active_flows_/slots_/slot_finish_,
-  /// repointing active_pos_ of the moved tail flow. O(1) per removal —
-  /// this replaces the legacy per-event O(active) erase_if compaction.
+  /// repointing active_pos_ of the moved tail flow. O(1) per removal.
   void remove_active_slot(std::uint32_t s) noexcept;
   /// The advance kernel: quantises each solved flow's raw rate, settles
   /// flows whose quantised rate differs from the one their finish time was
@@ -687,7 +658,7 @@ class FlowEngine {
   /// (whole-set cache hits, threshold/bailed solves): iterates slots in
   /// order — skipping the flow->slot gather advance_flows needs for
   /// arbitrary spans — and folds the next-finish min and the completion
-  /// candidates into the same pass, replacing a separate
+  /// candidates into the same pass instead of a separate
   /// collect_finish_candidates() scan. Bit-identical to advance_flows +
   /// collect_finish_candidates on such events: slot order equals the
   /// solved span's order there, and an unchanged rate compares equal before

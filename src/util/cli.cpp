@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -161,7 +162,21 @@ std::uint64_t CliParser::get_uint(std::string_view name) const {
 }
 
 double CliParser::get_double(std::string_view name) const {
-  return parse_number<double>(name, get_string(name), "number");
+  const std::string text = get_string(name);
+  const double value = parse_number<double>(name, text, "number");
+  if (!std::isfinite(value)) {
+    throw CliError(name, "non-finite number '" + text + "'");
+  }
+  return value;
+}
+
+double CliParser::get_non_negative_double(std::string_view name) const {
+  const double value = get_double(name);
+  if (value < 0.0) {
+    throw CliError(name, "must not be negative, got '" + get_string(name) +
+                             "'");
+  }
+  return value;
 }
 
 bool CliParser::get_bool(std::string_view name) const {

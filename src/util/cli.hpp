@@ -68,10 +68,13 @@ class CliParser {
   /// Numeric accessors parse the WHOLE value strictly (std::from_chars):
   /// trailing junk ("8x"), a bare sign, overflow, or — for get_uint — a
   /// negative number all throw CliError naming the flag. get_double accepts
-  /// fixed and scientific notation ("2e-4") but not hex floats.
+  /// fixed and scientific notation ("2e-4") but not hex floats, and rejects
+  /// nan, inf and -inf: no flag means anything by a non-finite value.
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] std::uint64_t get_uint(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
+  /// get_double that also rejects a negative value (a quantum, a latency).
+  [[nodiscard]] double get_non_negative_double(std::string_view name) const;
   /// Accepts true/false, 1/0, yes/no, on/off; anything else is a CliError.
   [[nodiscard]] bool get_bool(std::string_view name) const;
 

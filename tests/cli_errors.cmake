@@ -7,14 +7,15 @@
 # ctest runs it as
 #
 #   cmake -DFIG4=<fig4_heavy> -DTABLE1=<table1_distances>
-#         -DPERF=<perf_engine> -P tests/cli_errors.cmake
+#         -DPERF=<perf_engine> -DSWEEP=<workload_sweep>
+#         -DTRACE=<trace_replay> -P tests/cli_errors.cmake
 #
-# The perf_engine calls also ask for a small cell and no output file, so
-# that a binary which accepts the malformed token fails this test in well
-# under a second instead of benchmarking.
+# The perf_engine calls also ask for a small cell and no output file, and
+# the other engine drivers a small machine, so that a binary which accepts
+# the malformed token fails this test in seconds instead of benchmarking.
 cmake_minimum_required(VERSION 3.20)
 
-foreach(var FIG4 TABLE1 PERF)
+foreach(var FIG4 TABLE1 PERF SWEEP TRACE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_errors: -D${var}=... is required")
   endif()
@@ -59,6 +60,24 @@ expect_rejected("--nodes" "${FIG4}" --nodes 3 --workloads reduce --threads 1)
 # passes without its record.
 expect_rejected("--out" "${PERF}" --nodes 64 --points fattree
   --workloads reduce --optimized-only --out /dev/full)
+# Non-finite or negative engine values: accepted, they printed a
+# normal-looking figure (nan, negative), different numbers (--quantum inf)
+# or an engine snapshot that named no flag (--latency inf), and a nan RSS
+# ceiling switched perf_engine's memory gate off.
+set(small_fig --nodes 64 --workloads reduce --t 2 --u 4 --threads 1)
+foreach(value nan inf -inf -0.5)
+  expect_rejected("--quantum" "${FIG4}" --quantum ${value} ${small_fig})
+endforeach()
+foreach(value nan inf -1)
+  expect_rejected("--latency" "${FIG4}" --latency ${value} ${small_fig})
+endforeach()
+expect_rejected("--max-rss-gb" "${PERF}" --max-rss-gb nan --points fattree
+  --workloads reduce ${quick})
+set(small_sweep --nodes 64 --topologies fattree)
+expect_rejected("--quantum" "${SWEEP}" --quantum -0.5 ${small_sweep})
+expect_rejected("--latency" "${SWEEP}" --latency nan ${small_sweep})
+expect_rejected("--latency" "${TRACE}" --latency -1)
+expect_rejected("--latency" "${TRACE}" --latency inf)
 
 if(failures)
   message(FATAL_ERROR "drivers that did not reject a malformed or "

@@ -168,7 +168,10 @@ TEST(Cli, UnsignedRejectsNegativesInsteadOfWrapping) {
 }
 
 TEST(Cli, MalformedDoubleNamesTheFlag) {
-  for (const char* bad : {"half", "1.5x", "", "1.2.3"}) {
+  // from_chars parses nan and inf; a quantum, a latency or a gate threshold
+  // of either would silently switch behaviour off or poison the run.
+  for (const char* bad :
+       {"half", "1.5x", "", "1.2.3", "nan", "NaN", "inf", "-inf", "infinity"}) {
     const CliError err = expect_cli_error(
         "ratio", bad, [](const CliParser& c) { (void)c.get_double("ratio"); });
     EXPECT_EQ(err.flag(), "ratio");
@@ -178,6 +181,22 @@ TEST(Cli, MalformedDoubleNamesTheFlag) {
   const char* argv[] = {"prog", "--ratio=2e-4"};
   ASSERT_TRUE(cli.parse(2, argv));
   EXPECT_DOUBLE_EQ(cli.get_double("ratio"), 2e-4);
+}
+
+TEST(Cli, NonNegativeDoubleRejectsNegatives) {
+  for (const char* bad : {"-0.5", "-1e-9"}) {
+    const CliError err = expect_cli_error(
+        "ratio", bad,
+        [](const CliParser& c) { (void)c.get_non_negative_double("ratio"); });
+    EXPECT_EQ(err.flag(), "ratio");
+  }
+  for (const char* good : {"0", "1e-6", "0.01"}) {
+    auto cli = make_parser();
+    const std::string arg = std::string("--ratio=") + good;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.parse(2, argv)) << arg;
+    EXPECT_EQ(cli.get_non_negative_double("ratio"), std::stod(good)) << arg;
+  }
 }
 
 TEST(Cli, MalformedBooleanRejected) {

@@ -363,6 +363,48 @@ TEST(Differential, DepartureOnlyEventsBypassTheSolveCache) {
   }
 }
 
+/// The solve cache stops storing at EngineOptions::solve_cache_budget_words,
+/// which the default leaves far from these sizes. A MapReduce on
+/// nestghc:64,2,2 looks the cache up on its three arrival events (scatter,
+/// shuffle, gather). With no budget every probe is a guaranteed miss and
+/// nothing is stored. A 5 000-word budget admits the scatter and gather
+/// entries (each under 1 + 3 * 512 links + 2 * 64 flows words) but not the
+/// shuffle's, which holds its 4 032 flows twice (key and rates), so warm
+/// runs hit some lookups and miss the rest. Every run replays the reference
+/// exactly either way.
+TEST(Differential, SolveCacheBudgetBoundsWhatWarmRunsHit) {
+  const auto topo = make_topology("nestghc:64,2,2");
+  const TrafficProgram program = generate(*topo, "mapreduce");
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{5000}}) {
+    const std::string context = "budget " + std::to_string(budget);
+    EngineOptions options;
+    options.solve_cache_budget_words = budget;
+    check_against_reference(
+        context, options, [&]<typename Engine>(const EngineOptions& opts) {
+          Engine engine(*topo, opts);
+          const SimResult cold = engine.run(program);
+          if constexpr (std::is_same_v<Engine, FlowEngine>) {
+            EXPECT_EQ(cold.solve_cache_hits, 0u) << context;
+            EXPECT_GT(cold.solve_cache_misses, 0u) << context;
+            for (int warm = 0; warm < 2; ++warm) {
+              const SimResult again = engine.run(program);
+              expect_identical(cold, again, context + " (warm)");
+              EXPECT_EQ(again.solve_cache_hits + again.solve_cache_misses,
+                        cold.solve_cache_misses)
+                  << context;
+              if (budget == 0) {
+                EXPECT_EQ(again.solve_cache_hits, 0u) << context;
+              } else {
+                EXPECT_GT(again.solve_cache_hits, 0u) << context;
+                EXPECT_GT(again.solve_cache_misses, 0u) << context;
+              }
+            }
+          }
+          return cold;
+        });
+  }
+}
+
 /// Capacity edits between runs must invalidate memoized rates (capacity
 /// bits are part of every solve-cache key).
 TEST(Incremental, CapacityChangesInvalidateMemoizedRates) {
