@@ -4,14 +4,20 @@
 // Trace format (text, one record per line, '#' comments):
 //   flow <id> <src> <dst> <bytes>
 //   dep  <before-id> <after-id>
-// Flow ids are arbitrary non-negative integers, unique per trace.
+// Flow ids are arbitrary non-negative integers, unique per trace; endpoint
+// ids are non-negative and below 2^32. A malformed trace exits with status
+// 2 and a "trace line N:" message.
 //
 // With no --trace argument a demonstration trace (a tiny fork-join
 // pipeline) is generated, written to a temp file, and replayed.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "flowsim/engine.hpp"
 #include "flowsim/metrics.hpp"
@@ -22,6 +28,19 @@
 namespace {
 
 using namespace nestflow;
+
+/// Reads the next field of a record into `value`, which it must fill
+/// exactly: std::from_chars takes no sign for an unsigned type and fails on
+/// a value out of range, where operator>> would wrap "-3" modulo 2^64 and
+/// the caller's narrowing would then wrap it again.
+template <typename T>
+bool read_field(std::istream& fields, T& value) {
+  std::string token;
+  if (!(fields >> token)) return false;
+  const char* const last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  return ec == std::errc() && ptr == last;
+}
 
 /// Parses the trace format above. Throws std::runtime_error with a line
 /// number on malformed input.
@@ -41,16 +60,25 @@ TrafficProgram load_trace(std::istream& in) {
     std::istringstream fields(line);
     std::string kind;
     if (!(fields >> kind)) continue;  // blank line
+    std::string extra;
     if (kind == "flow") {
-      std::uint64_t id = 0, src = 0, dst = 0;
+      std::uint64_t id = 0;
+      std::uint32_t src = 0, dst = 0;
       double bytes = 0.0;
-      if (!(fields >> id >> src >> dst >> bytes)) fail("bad flow record");
+      if (!read_field(fields, id) || !read_field(fields, src) ||
+          !read_field(fields, dst) || !read_field(fields, bytes) ||
+          !std::isfinite(bytes) || bytes < 0.0) {
+        fail("bad flow record");
+      }
+      if (fields >> extra) fail("trailing field '" + extra + "'");
       if (id_map.contains(id)) fail("duplicate flow id");
-      id_map[id] = program.add_flow(static_cast<std::uint32_t>(src),
-                                    static_cast<std::uint32_t>(dst), bytes);
+      id_map[id] = program.add_flow(src, dst, bytes);
     } else if (kind == "dep") {
       std::uint64_t before = 0, after = 0;
-      if (!(fields >> before >> after)) fail("bad dep record");
+      if (!read_field(fields, before) || !read_field(fields, after)) {
+        fail("bad dep record");
+      }
+      if (fields >> extra) fail("trailing field '" + extra + "'");
       if (!id_map.contains(before) || !id_map.contains(after)) {
         fail("dep references unknown flow (deps must follow their flows)");
       }
@@ -98,17 +126,8 @@ int run(int argc, char** argv) {
   }
 
   std::ifstream in(trace_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open trace: %s\n", trace_path.c_str());
-    return 1;
-  }
-  TrafficProgram program;
-  try {
-    program = load_trace(in);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  if (!in) throw std::runtime_error("cannot open trace: " + trace_path);
+  const TrafficProgram program = load_trace(in);
 
   const auto topology = make_topology(cli.get_string("spec"));
   std::printf("replaying %u flows (%s) on %s\n", program.num_data_flows(),

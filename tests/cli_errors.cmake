@@ -78,6 +78,20 @@ expect_rejected("--quantum" "${SWEEP}" --quantum -0.5 ${small_sweep})
 expect_rejected("--latency" "${SWEEP}" --latency nan ${small_sweep})
 expect_rejected("--latency" "${TRACE}" --latency -1)
 expect_rejected("--latency" "${TRACE}" --latency inf)
+# Trace records that replayed as something else: an endpoint id of 2^32
+# narrowed to endpoint 0, a negative one wrapped to endpoint 3, and a
+# trailing field was ignored.
+set(good_flow "flow 1 0 5 1048576\n")
+foreach(case
+    "wrap:flow 2 4294967296 3 1048576"
+    "minus:flow 2 -4294967293 5 1048576"
+    "trailing:flow 2 0 7 1048576 junk")
+  string(REGEX REPLACE ":.*" "" name "${case}")
+  string(REGEX REPLACE "^[a-z]*:" "" record "${case}")
+  set(trace "${CMAKE_CURRENT_BINARY_DIR}/cli_errors_trace_${name}.txt")
+  file(WRITE "${trace}" "${good_flow}${record}\n")
+  expect_rejected("trace line 2:" "${TRACE}" --trace "${trace}")
+endforeach()
 
 if(failures)
   message(FATAL_ERROR "drivers that did not reject a malformed or "
