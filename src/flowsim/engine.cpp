@@ -381,7 +381,7 @@ bool FlowEngine::collect_dirty_components_partitioned() {
   // completion touched is reached through its surviving links. Each seed's
   // component is BFS-exhausted before the next seed starts, so every
   // component occupies a contiguous range of affected_flows_ and
-  // affected_links_ — the unit solve_components() solves and memoizes.
+  // affected_links_ — the unit solve_components() solves.
   //
   // BFS over the bipartite flow-link incidence; affected_links_ doubles as
   // the frontier queue. Each range is a *complete* connected component:
@@ -444,7 +444,7 @@ void FlowEngine::prune_used_links() {
   });
 }
 
-void FlowEngine::solve_components(SimResult& result, bool memoize) {
+void FlowEngine::solve_components(SimResult& result) {
   const EngineContext ctx{this};
   for (const ComponentRange& range : components_) {
     const std::span<const LinkId> links(
@@ -453,31 +453,17 @@ void FlowEngine::solve_components(SimResult& result, bool memoize) {
     const std::span<const FlowIndex> flows(
         affected_flows_.data() + range.flow_begin,
         range.flow_end - range.flow_begin);
-    if (memoize) {
-      if (const double* memo = probe_solve_cache(links, flows, result)) {
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-          rates_[flows[i]] = memo[i];
-        }
-        continue;
-      }
-    }
     result.solver_rounds +=
         solver_.solve(ctx, links, link_weight_sum_, flows, rates_);
-    // Storing as we go never changes what a later component of this event
-    // finds: components are link-disjoint and every key embeds its link
-    // ids, so no later probe can match this entry.
-    store_solve_cache(flows);
   }
 }
 
-const double* FlowEngine::probe_solve_cache(std::span<const LinkId> links,
-                                            std::span<const FlowIndex> flows,
-                                            SimResult& result) {
+const double* FlowEngine::probe_solve_cache(SimResult& result) {
   solve_insert_armed_ = false;
   // The key identifies flows by their shared (route-cache-owned) arena
   // extents; a free-listed extent's offset means nothing across events, so
-  // any unshared path forfeits memoization for this problem.
-  for (const FlowIndex f : flows) {
+  // any unshared path forfeits memoization for this event.
+  for (const FlowIndex f : active_flows_) {
     if (!path_shared_[f]) return nullptr;
   }
 
@@ -487,23 +473,25 @@ const double* FlowEngine::probe_solve_cache(std::span<const LinkId> links,
   // scale a whole-set key runs to hundreds of MB — and record the miss the
   // built-and-compared path would have recorded. The store stays disarmed,
   // exactly as the arming check below would have decided.
-  const std::size_t key_words = 1 + 3 * links.size() + flows.size();
+  const std::size_t key_words =
+      1 + 3 * used_links_.size() + active_flows_.size();
   if (key_words > options_.solve_cache_budget_words) {
     ++result.solve_cache_misses;
     return nullptr;
   }
 
-  // Content blob in discovery order, deliberately NOT canonicalised: with
-  // uniform weights a flow's rate is a pure function of (its extent, the
-  // problem's content multiset) — equal-extent flows are bit-exactly
-  // interchangeable in the solver — so position i of the blob determines
-  // position i's rate no matter how the problem was enumerated. Sorting
-  // would dedup permutations of one problem into one entry, but costs an
-  // O(n log n) sort per event that profiling showed dominates the hit path;
-  // the steady regime re-enumerates problems in an identical order anyway
-  // (the whole engine is deterministic), so permuted duplicates are rare
-  // and the budget absorbs them. FNV-1a picks the bucket; correctness
-  // rests on the full-content comparison below, never on the hash.
+  // Content blob in used_links_ and slot order, deliberately NOT
+  // canonicalised: with uniform weights a flow's rate is a pure function of
+  // (its extent, the problem's content multiset) — equal-extent flows are
+  // bit-exactly interchangeable in the solver — so position i of the blob
+  // determines position i's rate no matter how the problem was enumerated.
+  // Sorting would dedup permutations of one problem into one entry, but
+  // costs an O(n log n) sort per event that profiling showed dominates the
+  // hit path; the steady regime re-enumerates problems in an identical
+  // order anyway (the whole engine is deterministic), so permuted
+  // duplicates are rare and the budget absorbs them. FNV-1a picks the
+  // bucket; correctness rests on the full-content comparison below, never
+  // on the hash.
   solve_key_.clear();
   solve_key_.reserve(key_words);
   std::uint64_t hash = 14695981039346656037ull;
@@ -512,13 +500,14 @@ const double* FlowEngine::probe_solve_cache(std::span<const LinkId> links,
     hash ^= word;
     hash *= 1099511628211ull;
   };
-  push((static_cast<std::uint64_t>(links.size()) << 32) | flows.size());
-  for (const LinkId l : links) {
+  push((static_cast<std::uint64_t>(used_links_.size()) << 32) |
+       active_flows_.size());
+  for (const LinkId l : used_links_) {
     push(l);
     push(std::bit_cast<std::uint64_t>(link_capacity_[l]));
     push(std::bit_cast<std::uint64_t>(link_weight_sum_[l]));
   }
-  for (const FlowIndex f : flows) {
+  for (const FlowIndex f : active_flows_) {
     push((static_cast<std::uint64_t>(path_offset_[f]) << 32) |
          path_length_[f]);
   }
@@ -528,7 +517,7 @@ const double* FlowEngine::probe_solve_cache(std::span<const LinkId> links,
   const auto it = solve_cache_entries_.empty() ? solve_cache_map_.end()
                                                : solve_cache_map_.find(hash);
   if (it != solve_cache_map_.end()) {
-    for (const std::uint32_t index : it->second) {
+    for (const std::size_t index : it->second) {
       const SolveCacheEntry& entry = solve_cache_entries_[index];
       if (entry.key_words == key_words &&
           std::equal(solve_key_.begin(), solve_key_.end(),
@@ -541,26 +530,22 @@ const double* FlowEngine::probe_solve_cache(std::span<const LinkId> links,
   }
   ++result.solve_cache_misses;
   solve_insert_armed_ = solve_key_arena_.size() + key_words +
-                            solve_rates_arena_.size() + flows.size() <=
+                            solve_rates_arena_.size() + active_flows_.size() <=
                         options_.solve_cache_budget_words;
   return nullptr;
 }
 
-void FlowEngine::store_solve_cache(std::span<const FlowIndex> flows) {
+void FlowEngine::store_solve_cache() {
   if (!solve_insert_armed_) return;
   solve_insert_armed_ = false;
-  SolveCacheEntry entry;
-  entry.key_offset = solve_key_arena_.size();
-  entry.key_words = static_cast<std::uint32_t>(solve_key_.size());
-  entry.rates_offset = static_cast<std::uint32_t>(solve_rates_arena_.size());
+  solve_cache_map_[solve_key_hash_].push_back(solve_cache_entries_.size());
+  solve_cache_entries_.push_back(SolveCacheEntry{
+      solve_key_arena_.size(), solve_key_.size(), solve_rates_arena_.size()});
   solve_key_arena_.insert(solve_key_arena_.end(), solve_key_.begin(),
                           solve_key_.end());
-  for (const FlowIndex f : flows) {
+  for (const FlowIndex f : active_flows_) {
     solve_rates_arena_.push_back(rates_[f]);
   }
-  solve_cache_map_[solve_key_hash_].push_back(
-      static_cast<std::uint32_t>(solve_cache_entries_.size()));
-  solve_cache_entries_.push_back(entry);
 }
 
 void FlowEngine::cancel_descendants(FlowIndex f, SimResult& result) {
@@ -1058,8 +1043,9 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // percolates to the whole set and bails anyway (DESIGN.md §11).
     //
     // Only an event that follows an activation, a detach or a capacity
-    // change probes or stores the solve cache; a departure-only event
-    // resumes when the log is valid and otherwise solves afresh (§6).
+    // change probes or stores the solve cache, and only for a whole-set
+    // solve; a departure-only event resumes when the log is valid and
+    // otherwise solves afresh (§6).
     const bool memoize = solve_cache_active_ && non_departure_change_;
     // Whole-set keys read used_links_ in order, and that order depends on
     // when drained links were pruned. Exactly the events that follow an
@@ -1081,7 +1067,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       // tolerated once (the whole-set solve they promote re-earns the hint
       // via the store); twice in a row drops the hint and returns to
       // BFS-decided routing.
-      whole_hit = probe_solve_cache(used_links_, active_flows_, result);
+      whole_hit = probe_solve_cache(result);
       cache_probed = true;
       if (whole_hit != nullptr) {
         whole = true;
@@ -1090,7 +1076,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         whole = true;
       } else {
         whole_set_hint = false;
-        solve_insert_armed_ = false;  // key is whole-set; form undecided
+        solve_insert_armed_ = false;  // no later store may take this key
         cache_probed = false;
       }
     }
@@ -1107,7 +1093,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         whole_set_hint = true;
         if (!cache_probed) {
           whole_probe_misses = 0;
-          whole_hit = probe_solve_cache(used_links_, active_flows_, result);
+          whole_hit = probe_solve_cache(result);
         }
       }
       if (whole_hit == nullptr) {
@@ -1127,13 +1113,13 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         // Memoize raw rates: the quantiser below writes only slot_rate_
         // and is a pure per-flow function, so replaying them through it on
         // a future hit lands on identical quantised values.
-        store_solve_cache(active_flows_);
+        store_solve_cache();
       }
       solve_log_valid_ = unit_weights_ && whole_hit == nullptr;
     } else {
-      // Per-component ranges, memoized (raw rates) as each is solved when
-      // this event may memoize.
-      solve_components(result, memoize);
+      // Per-component ranges, solved afresh: the solve cache holds only
+      // whole-set solves.
+      solve_components(result);
       solved = affected_flows_;
       solve_log_valid_ = false;
     }

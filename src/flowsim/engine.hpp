@@ -123,12 +123,12 @@ struct EngineOptions {
   /// Word budget for the solve cache's content + rate arenas (8 bytes per
   /// word): insertion stops once storing another entry would exceed it, so
   /// this bounds the cache's memory, not its lifetime. The default (8M
-  /// words = 64 MiB) suits engines solving small components and holds the
-  /// N = 1024 mapreduce shuffle's one giant arrival entry (~2.1M words of
-  /// key and rates); a caller that replays bigger programs on a persistent
-  /// engine should raise it so their memoized solves stay resident across
-  /// run() calls. bench/perf_engine's kSolveCacheWords and perfbench's
-  /// warm-replay pass 64M words (512 MiB).
+  /// words = 64 MiB) holds the N = 1024 mapreduce shuffle's one giant
+  /// arrival entry (~2.1M words of key and rates); a caller that replays
+  /// bigger programs on a persistent engine should raise it so their
+  /// memoized solves stay resident across run() calls.
+  /// bench/perf_engine's kSolveCacheWords and perfbench's warm-replay pass
+  /// 64M words (512 MiB).
   std::size_t solve_cache_budget_words = 8u << 20;
   /// Measure wall time spent in rate recomputation (dirty-component
   /// collection + solver) into SimResult::solve_seconds, plus the other
@@ -173,7 +173,7 @@ struct SimResult {
   /// FaultAwareRouter's).
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
-  /// Component solves replayed from / missed by the solve cache (see
+  /// Whole-set solves replayed from / missed by the solve cache (see
   /// "Solve memoization" below). Both zero when it is inactive, which
   /// includes every run with adaptive routing on.
   std::uint64_t solve_cache_hits = 0;
@@ -383,24 +383,20 @@ class FlowEngine {
   /// canonical whole-set link order every whole-set solve (and solve-cache
   /// key) uses.
   void prune_used_links();
-  /// Solves components_ in discovery order. With `memoize` set, each comes
-  /// from the solve cache when its content was memoized and from the solver
-  /// (then memoized) otherwise; without it, from the solver alone.
-  void solve_components(SimResult& result, bool memoize);
-  /// Looks the max-min problem (links, flows) up in the solve cache by
-  /// exact content — the whole active set (used_links_, active_flows_) or
-  /// one component. Returns the memoized rates in `flows` order on a hit.
-  /// On a miss returns nullptr and arms store_solve_cache() when the entry
-  /// would fit the budget. Counts a hit or a miss, except when some flow
-  /// lacks a stable path identity (extent not owned by the route cache):
-  /// that problem is not memoizable, and the probe returns nullptr unarmed.
-  [[nodiscard]] const double* probe_solve_cache(
-      std::span<const LinkId> links, std::span<const FlowIndex> flows,
-      SimResult& result);
-  /// Stores the last probed key with the just-solved rates of `flows` (the
-  /// probed flows, in the same order) when that probe armed it; a no-op
-  /// otherwise.
-  void store_solve_cache(std::span<const FlowIndex> flows);
+  /// Solves each range of components_ afresh, in discovery order.
+  void solve_components(SimResult& result);
+  /// Looks the whole-set max-min problem (used_links_, active_flows_) up in
+  /// the solve cache by exact content. Returns the memoized rates in slot
+  /// order on a hit. On a miss returns nullptr and arms store_solve_cache()
+  /// when the entry would fit the budget. Counts a hit or a miss, except
+  /// when some flow lacks a stable path identity (extent not owned by the
+  /// route cache): that problem is not memoizable, and the probe returns
+  /// nullptr unarmed.
+  [[nodiscard]] const double* probe_solve_cache(SimResult& result);
+  /// Stores the last probed key with the just-solved rates of
+  /// active_flows_ (the probed flows, in slot order) when that probe armed
+  /// it; a no-op otherwise.
+  void store_solve_cache();
   /// Empties the solve cache (capacity edits would leave dead entries —
   /// they can never match again, since capacity bits are part of the key).
   void drop_solve_cache();
@@ -530,15 +526,16 @@ class FlowEngine {
   const bool route_cache_active_;  // pure function of options + topology
 
   // Solve memoization. A max-min allocation is a pure function of the
-  // component content — it never reads remaining bytes — so phase-
+  // problem's content — it never reads remaining bytes — so phase-
   // structured workloads (stencil iterations, collective rounds, repeated
   // sweeps) re-pose bit-identical allocation problems over and over. The
-  // content — (link, capacity, weight-sum) triples plus flow (offset,
-  // length) extents, both in BFS-discovery order (exact without
-  // canonicalisation: see probe_solve_cache) — is stored verbatim in
-  // solve_key_arena_ and verified word-for-word on lookup; the hash only
-  // picks the bucket, so a collision can never replay wrong rates. Rates
-  // are stored positionally (blob position i = discovery position i).
+  // cache holds whole-set solves only: the content — (link, capacity,
+  // weight-sum) triples in used_links_ order plus flow (offset, length)
+  // extents in slot order (exact without canonicalisation: see
+  // probe_solve_cache) — is stored verbatim in solve_key_arena_ and
+  // verified word-for-word on lookup; the hash only picks the bucket, so a
+  // collision can never replay wrong rates. Rates are stored positionally
+  // (blob position i = slot i).
   // Engaged only when the route cache is active (its shared path extents
   // give flows a stable identity), adaptive routing is off (the one-shot
   // figure runs, where it costs more than it saves) and every flow weight
@@ -551,12 +548,14 @@ class FlowEngine {
   // rates, and the page faults of a cache that grows with them (DESIGN.md
   // §6). Persists across run() calls; insertion stops at
   // EngineOptions::solve_cache_budget_words.
+  /// Offsets and lengths in words, as wide as the arenas they index: the
+  /// budget is a size_t, so an arena may pass 2^32 words.
   struct SolveCacheEntry {
-    std::uint64_t key_offset;
-    std::uint32_t key_words;
-    std::uint32_t rates_offset;
+    std::size_t key_offset;
+    std::size_t key_words;
+    std::size_t rates_offset;
   };
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>>
       solve_cache_map_;
   std::vector<SolveCacheEntry> solve_cache_entries_;
   std::vector<std::uint64_t> solve_key_arena_;

@@ -326,24 +326,45 @@ TEST(Differential, WarmRunsReplayColdRunExactly) {
 /// so every run looks the cache up exactly once. A MapReduce mixes both
 /// kinds of event, so it looks up on fewer events than it has, and its warm
 /// runs repeat the cold run's physics and lookups exactly.
+///
+/// Only whole-set solves look the cache up, not component solves. In "late
+/// arrivals" eight long self-flows (each its own component, on its own
+/// endpoint's NIC links) start together, and four short self-flows arrive
+/// one at a time, each as its own component. The first event solves the
+/// whole set and stores it (65 words of the 100-word budget). The next two
+/// arrivals probe the whole set first and miss, since the second entry
+/// would not fit, so the second miss drops the probe-first hint. That
+/// arrival and the two after it are solved per component without a lookup,
+/// so every run, warm or cold, looks the cache up exactly three times.
 TEST(Differential, DepartureOnlyEventsBypassTheSolveCache) {
   const auto topo = make_topology("nestghc:64,2,2");
   TrafficProgram fan_out;
   for (std::uint32_t dst = 1; dst <= 8; ++dst) {
     (void)fan_out.add_flow(0, dst, 1e6 * dst);
   }
+  TrafficProgram late_arrivals;
+  for (std::uint32_t e = 0; e < 8; ++e) {
+    (void)late_arrivals.add_flow(e, e, kBps);
+  }
+  for (std::uint32_t i = 1; i <= 4; ++i) {
+    (void)late_arrivals.add_flow(8 + i, 8 + i, kBps / 100, 0.1 * i);
+  }
+  EngineOptions small_cache;
+  small_cache.solve_cache_budget_words = 100;
   const struct {
     const char* name;
     TrafficProgram program;
     std::uint64_t lookups;  // per run; 0 = only "fewer than events"
-  } cases[] = {{"fan-out", fan_out, 1},
-                {"mapreduce", generate(*topo, "mapreduce"), 0}};
+    EngineOptions options;
+  } cases[] = {{"fan-out", fan_out, 1, {}},
+               {"mapreduce", generate(*topo, "mapreduce"), 0, {}},
+               {"late arrivals", late_arrivals, 3, small_cache}};
   const auto lookups = [](const SimResult& r) {
     return r.solve_cache_hits + r.solve_cache_misses;
   };
   for (const auto& c : cases) {
     check_against_reference(
-        c.name, {}, [&]<typename Engine>(const EngineOptions& options) {
+        c.name, c.options, [&]<typename Engine>(const EngineOptions& options) {
           Engine engine(*topo, options);
           const SimResult cold = engine.run(c.program);
           if constexpr (std::is_same_v<Engine, FlowEngine>) {
