@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "core/energy_model.hpp"
+#include "core/experiment.hpp"
 #include "flowsim/engine.hpp"
 #include "topo/census.hpp"
-#include "topo/factory.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
@@ -38,24 +38,10 @@ int run(int argc, char** argv) {
 
   EngineOptions options;
   options.rate_quantum_rel = 0.01;
-  const struct {
-    const char* key;
-  } configs[] = {{"torus"},      {"fattree"},      {"nestghc-t2u1"},
-                 {"nestghc-t2u4"}, {"nesttree-t2u1"}, {"nesttree-t2u4"}};
-  for (const auto& config : configs) {
-    std::unique_ptr<Topology> topology;
-    const std::string key = config.key;
-    if (key == "torus") {
-      topology = make_reference_torus(nodes);
-    } else if (key == "fattree") {
-      topology = make_reference_fattree(nodes);
-    } else {
-      const auto u = static_cast<std::uint32_t>(key.back() - '0');
-      topology = make_nested(nodes, 2, u,
-                             key.starts_with("nestghc")
-                                 ? UpperTierKind::kGhc
-                                 : UpperTierKind::kFattree);
-    }
+  for (const char* token : {"torus3d", "fattree", "nestghc-t2-u1",
+                            "nestghc-t2-u4", "nesttree-t2-u1",
+                            "nesttree-t2-u4"}) {
+    const auto topology = build_point(parse_point_token(token), nodes);
     const auto census = take_census(topology->graph());
     FlowEngine engine(*topology, options);
     const auto result = engine.run(program);

@@ -6,8 +6,8 @@
 // (bench/ext_analysis).
 #include <cstdio>
 
+#include "core/experiment.hpp"
 #include "flowsim/engine.hpp"
-#include "topo/factory.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
@@ -31,18 +31,9 @@ int run(int argc, char** argv) {
               nodes, format_bytes(cli.get_double("message")).c_str());
 
   const double loads[] = {0.1, 0.3, 0.5, 0.7, 0.85};
-  for (const char* key :
-       {"torus", "fattree", "nestghc-t2u1", "nestghc-t2u4"}) {
-    std::unique_ptr<Topology> topology;
-    const std::string name = key;
-    if (name == "torus") {
-      topology = make_reference_torus(nodes);
-    } else if (name == "fattree") {
-      topology = make_reference_fattree(nodes);
-    } else {
-      topology = make_nested(nodes, 2, name.back() == '1' ? 1 : 4,
-                             UpperTierKind::kGhc);
-    }
+  for (const char* token :
+       {"torus3d", "fattree", "nestghc-t2-u1", "nestghc-t2-u4"}) {
+    const auto topology = build_point(parse_point_token(token), nodes);
 
     Table table({"offered load", "flows", "mean latency", "p99 latency",
                  "drain overrun"});

@@ -37,12 +37,11 @@
 // then per cell its point and workload, a baseline block (absent under
 // --optimized-only) and an optimized block — cold_cpu_seconds and
 // steady_cpu_seconds as {median, iqr}, dispatch_us_per_event (median over
-// the steady runs) and the last steady run's counters and makespan — then
+// the steady runs) and the first steady run's counters and makespan — then
 // speedup, cold_speedup, peak_rss_bytes (VmHWM at the end of the cell),
 // bytes_per_endpoint and identical.
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -86,49 +85,12 @@ struct ModeStats {
   Spread cold;    // CPU seconds per run
   Spread steady;  // CPU seconds per run
   double dispatch_us_per_event = 0.0;  // median over the steady runs
-  SimResult result;  // the last steady run's
+  /// The first steady run's: its engine has made exactly one (cold) run
+  /// before it, so its counters repeat exactly, however many runs the
+  /// sampling takes.
+  SimResult result;
   std::uint32_t mismatches = 0;  // runs that differ from the cell's first
 };
-
-/// A positive 32-bit integer spanning all of `text` (no sign, no
-/// whitespace, no trailing junk), or nullopt.
-std::optional<std::uint32_t> parse_positive(std::string_view text) {
-  std::uint32_t value = 0;
-  const char* const last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc() || ptr != last || value == 0) return std::nullopt;
-  return value;
-}
-
-// Point tokens keep the CLI comma-list friendly: "fattree", "torus3d",
-// "nestghc-t2-u4", "nesttree-t4-u2".
-TopologyPoint parse_point_token(const std::string& token) {
-  if (token == "fattree") return TopologyPoint{"Fattree", 0, 0, std::nullopt};
-  if (token == "torus3d") return TopologyPoint{"Torus3D", 0, 0, std::nullopt};
-  const auto parse_nested = [&](std::string_view prefix, std::string label,
-                                UpperTierKind upper)
-      -> std::optional<TopologyPoint> {
-    if (!token.starts_with(prefix)) return std::nullopt;
-    // "tT-uU" and nothing else: "t-1-u4" and "t2-u4junk" are rejected.
-    const std::string_view rest = std::string_view(token).substr(prefix.size());
-    const auto dash = rest.find("-u");
-    const auto t = rest.starts_with('t') && dash != std::string_view::npos
-                       ? parse_positive(rest.substr(1, dash - 1))
-                       : std::nullopt;
-    const auto u = t ? parse_positive(rest.substr(dash + 2)) : std::nullopt;
-    if (!u) throw std::invalid_argument("bad point token: " + token);
-    return TopologyPoint{std::move(label), *t, *u, upper};
-  };
-  if (auto p = parse_nested("nestghc-", "NestGHC", UpperTierKind::kGhc)) {
-    return *p;
-  }
-  if (auto p = parse_nested("nesttree-", "NestTree", UpperTierKind::kFattree)) {
-    return *p;
-  }
-  throw std::invalid_argument(
-      "bad point token: " + token +
-      " (expected fattree, torus3d, nestghc-tT-uU or nesttree-tT-uU)");
-}
 
 double process_cpu_seconds() {
   timespec ts{};
@@ -155,22 +117,6 @@ Spread sample(Run&& one_run) {
           percentile(samples, 0.75) - percentile(samples, 0.25)};
 }
 
-/// Every metric a simulation *means*: what happened on the fabric. Two runs
-/// agreeing here are the same simulation, whatever machinery produced them.
-bool same_physical(const SimResult& a, const SimResult& b) {
-  return a.makespan == b.makespan && a.events == b.events &&
-         a.total_bytes == b.total_bytes && a.num_flows == b.num_flows &&
-         a.max_link_utilization == b.max_link_utilization &&
-         a.avg_active_flows == b.avg_active_flows &&
-         a.peak_active_flows == b.peak_active_flows &&
-         a.bytes_by_class == b.bytes_by_class &&
-         a.stranded_flows == b.stranded_flows &&
-         a.cancelled_flows == b.cancelled_flows &&
-         a.rerouted_flows == b.rerouted_flows &&
-         a.reroute_extra_hops == b.reroute_extra_hops &&
-         a.undelivered_bytes == b.undelivered_bytes;
-}
-
 /// Times one engine (FlowEngine or the ReferenceEngine baseline) on a cell,
 /// cold and then steady, checking every run against `first`: the cell's
 /// first run, which the first run of this call sets when it is empty.
@@ -185,15 +131,15 @@ ModeStats run_mode(const Topology& topology, const TrafficProgram& program,
 
   ModeStats stats;
   std::optional<Engine> engine;
+  SimResult last;
   const auto timed_run = [&] {
     const double cpu0 = process_cpu_seconds();
-    SimResult result = engine->run(program);
+    last = engine->run(program);
     const double cpu = process_cpu_seconds() - cpu0;
     // Physical fields only: a cold run misses the caches a steady run
     // hits, so the counters legitimately differ between the regimes.
-    if (!first) first = result;
-    stats.mismatches += !same_physical(*first, result);
-    stats.result = std::move(result);
+    if (!first) first = last;
+    stats.mismatches += verify::physical_difference(*first, last).has_value();
     return cpu;
   };
   // emplace destroys the previous engine before it builds the next.
@@ -204,10 +150,11 @@ ModeStats run_mode(const Topology& topology, const TrafficProgram& program,
   std::vector<double> dispatch_us;
   stats.steady = sample([&] {
     const double cpu = timed_run();
-    const auto& r = stats.result;
+    if (dispatch_us.empty()) stats.result = last;  // the first steady run
     dispatch_us.push_back(
-        r.events > 0 ? 1e6 * r.dispatch_seconds / static_cast<double>(r.events)
-                     : 0.0);
+        last.events > 0
+            ? 1e6 * last.dispatch_seconds / static_cast<double>(last.events)
+            : 0.0);
     return cpu;
   });
   stats.dispatch_us_per_event = percentile(dispatch_us, 0.5);

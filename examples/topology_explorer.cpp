@@ -7,7 +7,11 @@
 //   topology_explorer --spec nestghc:4096,4,2
 //   topology_explorer --spec torus:16x16x16 --route 0:4095
 //   topology_explorer --spec fattree:32,32,4 --pairs 200000
+#include <charconv>
 #include <cstdio>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 #include "core/cost_model.hpp"
 #include "graph/distance_metrics.hpp"
@@ -30,6 +34,30 @@ int run(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
   const auto topology = make_topology(cli.get_string("spec"));
+  // --route is checked before any work: "src:dst", each side a whole
+  // endpoint id below num_endpoints().
+  std::optional<std::pair<std::uint32_t, std::uint32_t>> route;
+  if (const auto spec = cli.get_string("route"); !spec.empty()) {
+    const auto bad = [&] {
+      return CliError("route", "expected 'src:dst' with endpoint ids below " +
+                                   std::to_string(topology->num_endpoints()) +
+                                   ", got '" + spec + "'");
+    };
+    const auto endpoint = [&](std::string_view text) {
+      std::uint32_t id = 0;
+      const char* const last = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), last, id);
+      if (ec != std::errc() || ptr != last || id >= topology->num_endpoints()) {
+        throw bad();
+      }
+      return id;
+    };
+    const auto colon = spec.find(':');
+    if (colon == std::string::npos) throw bad();
+    const std::string_view text = spec;
+    route.emplace(endpoint(text.substr(0, colon)),
+                  endpoint(text.substr(colon + 1)));
+  }
   std::printf("%s\n", topology->name().c_str());
 
   const auto report = validate_graph(topology->graph());
@@ -63,17 +91,8 @@ int run(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const auto route_spec = cli.get_string("route");
-  if (!route_spec.empty()) {
-    const auto colon = route_spec.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "--route expects 'src:dst'\n");
-      return 2;
-    }
-    const auto src = static_cast<std::uint32_t>(
-        std::stoul(route_spec.substr(0, colon)));
-    const auto dst = static_cast<std::uint32_t>(
-        std::stoul(route_spec.substr(colon + 1)));
+  if (route) {
+    const auto [src, dst] = *route;
     Path path;
     topology->route(src, dst, path);
     std::printf("route %u -> %u (%u hops):\n  %u", src, dst, path.hops(), src);

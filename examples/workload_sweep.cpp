@@ -1,15 +1,18 @@
 // Workload sweep: compare a set of topologies on one workload — the
 // one-command version of a figure panel, for interactive exploration.
+// Topologies are matrix-point tokens, as perf_engine's --points takes them
+// (parse_point_token in core/experiment.hpp): torus3d, fattree,
+// nestghc-tT-uU, nesttree-tT-uU.
 //
 // Examples:
 //   workload_sweep --workload allreduce --nodes 1024
-//   workload_sweep --workload bisection --topologies torus,fattree,nestghc-t2u4
+//   workload_sweep --workload bisection --topologies torus3d,nestghc-t2-u4
 //   workload_sweep --workload sweep3d --latency 1e-6
 #include <cstdio>
 
+#include "core/experiment.hpp"
 #include "flowsim/engine.hpp"
 #include "flowsim/metrics.hpp"
-#include "topo/factory.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "workloads/factory.hpp"
@@ -18,34 +21,14 @@ namespace {
 
 using namespace nestflow;
 
-/// Resolves the sweep's shorthand names: "torus", "fattree", or
-/// "nesttree-tXuY" / "nestghc-tXuY".
-std::unique_ptr<Topology> resolve(const std::string& key, std::uint64_t nodes) {
-  if (key == "torus") return make_reference_torus(nodes);
-  if (key == "fattree") return make_reference_fattree(nodes);
-  const bool tree = key.starts_with("nesttree-t");
-  const bool ghc = key.starts_with("nestghc-t");
-  if (tree || ghc) {
-    const auto params = key.substr(key.find("-t") + 2);  // "XuY"
-    const auto upos = params.find('u');
-    if (upos != std::string::npos) {
-      const auto t = static_cast<std::uint32_t>(
-          std::stoul(params.substr(0, upos)));
-      const auto u = static_cast<std::uint32_t>(
-          std::stoul(params.substr(upos + 1)));
-      return make_nested(nodes, t, u,
-                         tree ? UpperTierKind::kFattree : UpperTierKind::kGhc);
-    }
-  }
-  throw std::invalid_argument("unknown topology shorthand: " + key);
-}
-
 int run(int argc, char** argv) {
   CliParser cli("workload_sweep", "compare topologies on one workload");
   cli.add_option("workload", "workload name", "allreduce");
   cli.add_option("nodes", "machine size (power of two)", "512");
-  cli.add_option("topologies", "comma-separated shorthands",
-                 "torus,fattree,nesttree-t2u4,nestghc-t2u4,nestghc-t4u8");
+  cli.add_option("topologies",
+                 "comma list of matrix points: torus3d, fattree, "
+                 "nestghc-tT-uU, nesttree-tT-uU",
+                 "torus3d,fattree,nesttree-t2-u4,nestghc-t2-u4,nestghc-t4-u8");
   cli.add_option("seed", "workload seed", "42");
   cli.add_option("quantum", "relative rate quantisation", "0.01");
   cli.add_option("latency", "per-hop latency in seconds", "5e-7");
@@ -73,8 +56,8 @@ int run(int argc, char** argv) {
   };
   std::vector<Row> rows;
   double best = 0.0;
-  for (const auto& key : cli.get_string_list("topologies")) {
-    const auto topology = resolve(key, nodes);
+  for (const auto& token : cli.get_string_list("topologies")) {
+    const auto topology = build_point(parse_point_token(token), nodes);
     FlowEngine engine(*topology, options);
     Row row{topology->name(), engine.run(program)};
     best = best == 0.0 ? row.result.makespan

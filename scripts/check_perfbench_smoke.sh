@@ -6,13 +6,15 @@
 # Runs python3 perfbench/run.py for both workloads (figure-cold and
 # warm-replay) for one second each, untraced (--trace 0) and traced
 # (--trace 1). Fails when a run reports correct: false or a non-zero
-# failed count, or when a traced run reports a zero
-# engine_solve_us_per_event or engine_dispatch_us_per_event. The last check
+# failed count, or when a traced run reports a zero solve, dispatch,
+# advance, select or complete time (engine_*_us_per_event). The last check
 # exists because perfbench/driver.cpp switches the engine's phase timers on
 # only where EngineOptions has a field named time_solver (a compile-time
 # probe, so the driver builds against any library version): renaming that
 # field would otherwise zero the benchmark's per-layer metrics silently
-# instead of breaking anything.
+# instead of breaking anything. Dispatch is the sum of the other three, so
+# each sub-phase is checked on its own: a lap that stopped firing would
+# otherwise hide inside a non-zero dispatch.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -32,7 +34,9 @@ if result["correct"] is not True:
 if result["failed"] != 0:
     problems.append("failed is %r" % result["failed"])
 if trace:
-    for name in ("engine_solve_us_per_event", "engine_dispatch_us_per_event"):
+    for name in ("engine_solve_us_per_event", "engine_dispatch_us_per_event",
+                 "engine_advance_us_per_event", "engine_select_us_per_event",
+                 "engine_complete_us_per_event"):
         value = result["metrics"].get(name, {}).get("value", 0)
         if not value > 0:
             problems.append("%s is %r" % (name, value))

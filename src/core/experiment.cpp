@@ -1,8 +1,10 @@
 #include "core/experiment.hpp"
 
+#include <charconv>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/log.hpp"
 #include "util/prng.hpp"
@@ -44,6 +46,47 @@ std::unique_ptr<Topology> build_point(const TopologyPoint& point,
   if (point.label == "Torus3D") return make_reference_torus(n);
   throw std::invalid_argument("build_point: unknown reference topology " +
                               point.label);
+}
+
+namespace {
+
+/// A positive 32-bit integer spanning all of `text` (no sign, no
+/// whitespace, no trailing junk), or nullopt.
+std::optional<std::uint32_t> parse_positive(std::string_view text) {
+  std::uint32_t value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || ptr != last || value == 0) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
+TopologyPoint parse_point_token(const std::string& token) {
+  if (token == "fattree") return TopologyPoint{"Fattree", 0, 0, std::nullopt};
+  if (token == "torus3d") return TopologyPoint{"Torus3D", 0, 0, std::nullopt};
+  const auto parse_nested = [&](std::string_view prefix, std::string label,
+                                UpperTierKind upper)
+      -> std::optional<TopologyPoint> {
+    if (!token.starts_with(prefix)) return std::nullopt;
+    const std::string_view rest = std::string_view(token).substr(prefix.size());
+    const auto dash = rest.find("-u");
+    const auto t = rest.starts_with('t') && dash != std::string_view::npos
+                       ? parse_positive(rest.substr(1, dash - 1))
+                       : std::nullopt;
+    const auto u = t ? parse_positive(rest.substr(dash + 2)) : std::nullopt;
+    if (!u) throw std::invalid_argument("bad point token: " + token);
+    return TopologyPoint{std::move(label), *t, *u, upper};
+  };
+  if (auto p = parse_nested("nestghc-", "NestGHC", UpperTierKind::kGhc)) {
+    return *p;
+  }
+  if (auto p = parse_nested("nesttree-", "NestTree", UpperTierKind::kFattree)) {
+    return *p;
+  }
+  throw std::invalid_argument(
+      "bad point token: " + token +
+      " (expected fattree, torus3d, nestghc-tT-uU or nesttree-tT-uU)");
 }
 
 std::vector<DistanceRow> run_distance_analysis(

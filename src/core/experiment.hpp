@@ -39,6 +39,13 @@ struct TopologyPoint {
 [[nodiscard]] std::unique_ptr<Topology> build_point(const TopologyPoint& point,
                                                     std::uint64_t n);
 
+/// The command-line name of a matrix point, kept comma-list friendly:
+/// "fattree", "torus3d", "nestghc-tT-uU" or "nesttree-tT-uU", with T and U
+/// positive 32-bit integers and nothing else ("nestghc-t-1-u4" and
+/// "nestghc-t2-u4junk" are rejected). Throws std::invalid_argument naming
+/// the token.
+[[nodiscard]] TopologyPoint parse_point_token(const std::string& token);
+
 // ---------------------------------------------------------------- Table 1
 
 struct DistanceRow {

@@ -123,9 +123,12 @@ class AuditView {
   std::uint64_t events_;
 };
 
-/// Observer contract for engine invariant checking. Implementations throw
-/// (anything; verify::AuditError by convention) to abort the run — the
-/// engine never catches. Callbacks arrive on the thread that called run().
+/// Observer contract for engine invariant checking. An auditor attached
+/// with FlowEngine::set_auditor gets on_run_start, then on_event after
+/// every solve, then on_run_end; detaching it (set_auditor(nullptr)) is
+/// the only way to switch auditing off. Implementations throw (anything;
+/// verify::AuditError by convention) to abort the run — the engine never
+/// catches. Callbacks arrive on the thread that called run().
 class FlowAuditor {
  public:
   virtual ~FlowAuditor() = default;
@@ -133,11 +136,11 @@ class FlowAuditor {
   /// Before the first activation pass of a run. Size scratch here.
   virtual void on_run_start(const AuditView& view) { (void)view; }
 
-  /// AuditLevel::kPerEvent only: after rates are solved and the time step
-  /// is known, immediately before time advances. Every active flow holds a
-  /// positive rate at this point (zero-rate flows were already handed to
-  /// the recovery policy).
-  virtual void on_event(const AuditView& view) = 0;
+  /// After rates are solved and the time step is known, immediately before
+  /// time advances. Every active flow holds a positive rate at this point
+  /// (zero-rate flows were already handed to the recovery policy). An
+  /// auditor that checks only the end state leaves it empty.
+  virtual void on_event(const AuditView& view) { (void)view; }
 
   /// After the loop drains, before run() returns its result.
   virtual void on_run_end(const AuditView& view, const SimResult& result) = 0;

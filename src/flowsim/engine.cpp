@@ -1,11 +1,11 @@
 #include "flowsim/engine.hpp"
 
 #include "flowsim/audit.hpp"
+#include "flowsim/phase_clock.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -908,10 +908,9 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   // Consecutive events with frozen time and no state change; see the
   // kLivelock watchdog at the bottom of the loop.
   std::uint64_t zero_progress_events = 0;
-  const bool auditing =
-      auditor_ != nullptr && options_.audit_level != AuditLevel::kOff;
-  const bool audit_events =
-      auditing && options_.audit_level == AuditLevel::kPerEvent;
+  // An attached auditor sees the whole run: start, every event, end.
+  FlowAuditor* const auditor = auditor_;
+  PhaseClock clock(options_.time_solver);
   // Probe-first whole-set hint: set whenever an event that may memoize
   // solved the whole active set (threshold, BFS bail or a previous probe),
   // cleared after two consecutive probe misses. While set, such an event —
@@ -923,7 +922,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   // first solve is a threshold solve, which never reads it.
   bool whole_set_hint = false;
   std::uint32_t whole_probe_misses = 0;
-  if (auditing) auditor_->on_run_start(AuditView(*this, now, 0.0, 0));
+  if (auditor != nullptr) auditor->on_run_start(AuditView(*this, now, 0.0, 0));
 
   release_queue_.clear();
   // Timeline presence is frozen here: an exhausted driver (no events at
@@ -940,8 +939,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // Activate everything runnable; sync flows complete instantly and may
     // cascade more activations within the same pass. Flows whose release
     // time lies in the future are parked in the release queue.
-    std::chrono::steady_clock::time_point route_start;
-    if (options_.time_solver) route_start = std::chrono::steady_clock::now();
+    clock.restart();
     for (std::size_t i = 0; i < ready.size(); ++i) {
       const FlowIndex f = ready[i];
       if (state_[f] != FlowState::kPending) continue;  // cancelled meanwhile
@@ -990,12 +988,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       }
     }
     ready.clear();
-    if (options_.time_solver) {
-      result.route_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        route_start)
-              .count();
-    }
+    clock.lap(result.route_seconds);
 
     // The network is idle: jump straight to the next arrival.
     if (active_flows_.empty() && !release_queue_.empty()) {
@@ -1013,8 +1006,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
 
     if (active_flows_.empty()) break;
 
-    std::chrono::steady_clock::time_point solve_start;
-    if (options_.time_solver) solve_start = std::chrono::steady_clock::now();
+    clock.restart();
     // Flows whose rates this event's solve (re)wrote; the quantise and
     // zero-rate recovery passes below enumerate exactly this set.
     std::span<const FlowIndex> solved = active_flows_;
@@ -1125,37 +1117,11 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     }
     departed_.clear();
     non_departure_change_ = false;
-    if (options_.time_solver) {
-      result.solve_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        solve_start)
-              .count();
-    }
-    // Everything from here to the end of the iteration (rate quantisation,
-    // lazy advance, zero-rate recovery, time advance, completion harvest)
-    // is "event dispatch" in the per-phase breakdown; auditor callbacks are
-    // timed separately, and the advance/select/complete sub-timers carve up
-    // the dispatch total (schema v6).
-    std::chrono::steady_clock::time_point dispatch_start;
-    const auto take_dispatch = [&result, &dispatch_start, this] {
-      if (options_.time_solver) {
-        const auto now_tp = std::chrono::steady_clock::now();
-        result.dispatch_seconds +=
-            std::chrono::duration<double>(now_tp - dispatch_start).count();
-      }
-    };
-    if (options_.time_solver) {
-      dispatch_start = std::chrono::steady_clock::now();
-    }
-    std::chrono::steady_clock::time_point phase_start = dispatch_start;
-    const auto lap = [&result, &phase_start, this](double SimResult::*field) {
-      if (options_.time_solver) {
-        const auto now_tp = std::chrono::steady_clock::now();
-        result.*field +=
-            std::chrono::duration<double>(now_tp - phase_start).count();
-        phase_start = now_tp;
-      }
-    };
+    clock.lap(result.solve_seconds);
+    // Everything from here to the end of the iteration is event dispatch,
+    // timed as three laps — advance, select, complete — whose sum is
+    // dispatch_seconds; the auditor's callback falls between two of them
+    // and is charged to none.
 
     // --- Advance: settle rate-changed flows, refresh finish times --------
     // Only freshly solved flows can have changed rate; untouched components
@@ -1193,11 +1159,10 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         remove_active_slot(s);
         recover_flow(f, now, left, result);
       }
-      lap(&SimResult::advance_seconds);
-      take_dispatch();
+      clock.lap(result.advance_seconds);
       continue;
     }
-    lap(&SimResult::advance_seconds);
+    clock.lap(result.advance_seconds);
 
     // --- Select: earliest predicted finish, then arrival/fault caps ------
     const double fmin =
@@ -1227,22 +1192,11 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       throw EngineError(EngineError::Kind::kMaxEventsExceeded,
                         loop_snapshot(result.events, now));
     }
-    lap(&SimResult::select_seconds);
+    clock.lap(result.select_seconds);
 
-    if (audit_events) {
-      take_dispatch();
-      std::chrono::steady_clock::time_point audit_start;
-      if (options_.time_solver) {
-        audit_start = std::chrono::steady_clock::now();
-      }
-      auditor_->on_event(AuditView(*this, now, dt, result.events));
-      if (options_.time_solver) {
-        dispatch_start = std::chrono::steady_clock::now();
-        phase_start = dispatch_start;
-        result.audit_seconds +=
-            std::chrono::duration<double>(dispatch_start - audit_start)
-                .count();
-      }
+    if (auditor != nullptr) {
+      auditor->on_event(AuditView(*this, now, dt, result.events));
+      clock.restart();
     }
 
     // --- Complete: harvest everything inside the batching window ---------
@@ -1377,9 +1331,10 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
       throw EngineError(EngineError::Kind::kLivelock,
                         loop_snapshot(result.events, now));
     }
-    lap(&SimResult::complete_seconds);
-    take_dispatch();
+    clock.lap(result.complete_seconds);
   }
+  result.dispatch_seconds =
+      result.advance_seconds + result.select_seconds + result.complete_seconds;
 
   for (FlowIndex f = 0; f < n; ++f) {
     if (state_[f] != FlowState::kDone &&
@@ -1409,8 +1364,8 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   }
 
   // program_ is still set here: the end-of-run view may read flow specs.
-  if (auditing) {
-    auditor_->on_run_end(AuditView(*this, now, 0.0, result.events), result);
+  if (auditor != nullptr) {
+    auditor->on_run_end(AuditView(*this, now, 0.0, result.events), result);
   }
 
   program_ = nullptr;

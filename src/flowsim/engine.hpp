@@ -77,16 +77,6 @@ enum class RecoveryPolicy : std::uint8_t {
   kRestartBackoff,
 };
 
-/// How often an attached FlowAuditor (see flowsim/audit.hpp and the
-/// InvariantAuditor in src/verify/) is consulted. kOff leaves every audit
-/// branch cold — a run with kOff and no auditor attached is bit-identical
-/// to an audited one.
-enum class AuditLevel : std::uint8_t {
-  kOff,       // never consult the auditor
-  kPerRun,    // on_run_start + on_run_end only (cheap end-state oracles)
-  kPerEvent,  // additionally on_event after every rate solve (full oracles)
-};
-
 struct EngineOptions {
   /// Completions within (1 + completion_batch_rel) of the earliest finish
   /// are folded into one event. 0 disables batching (exact event order).
@@ -105,9 +95,6 @@ struct EngineOptions {
   /// time/active-flow snapshot; derives from std::runtime_error) after this
   /// many events; 0 = unlimited.
   std::uint64_t max_events = 0;
-  /// Frequency of invariant-auditor callbacks; no effect unless an auditor
-  /// is attached with set_auditor(). See AuditLevel.
-  AuditLevel audit_level = AuditLevel::kOff;
   /// Route flows with Topology::route_adaptive at activation time (the
   /// flow-level analogue of ECMP/adaptive routing: fat-tree tiers pick the
   /// least-loaded up-ports). Disable to force the fully deterministic
@@ -130,10 +117,10 @@ struct EngineOptions {
   /// bench/perf_engine's kSolveCacheWords and perfbench's warm-replay pass
   /// 64M words (512 MiB).
   std::size_t solve_cache_budget_words = 8u << 20;
-  /// Measure wall time spent in rate recomputation (dirty-component
-  /// collection + solver) into SimResult::solve_seconds, plus the other
-  /// per-phase timers (route_seconds, dispatch_seconds and its sub-phases,
-  /// audit_seconds). Off by default: the clock reads cost more than a small
+  /// Measure the wall time of every event-loop phase into SimResult's
+  /// timer fields (route_seconds, solve_seconds, dispatch_seconds and its
+  /// sub-phases), one PhaseClock per run (flowsim/phase_clock.hpp). Off by
+  /// default, when no clock is read: the reads cost more than a small
   /// component solve. The name predates the other timers and is kept
   /// because perfbench/driver.cpp switches the timers on by probing for
   /// this field.
@@ -178,26 +165,24 @@ struct SimResult {
   /// includes every run with adaptive routing on.
   std::uint64_t solve_cache_hits = 0;
   std::uint64_t solve_cache_misses = 0;
-  /// Wall seconds inside rate recomputation (EngineOptions::time_solver).
+  /// Per-phase wall seconds of the event loop, filled only when
+  /// EngineOptions::time_solver is set (0 otherwise): activation routing,
+  /// rate recomputation (dirty-component collection + solver), and event
+  /// dispatch. Auditor callbacks are charged to no phase. Wall-clock
+  /// measurements, not physical results — exempt from the bit-identity
+  /// contracts the way the cache counters are.
   double solve_seconds = 0.0;
-  /// Per-phase wall-time breakdown of the event loop, populated (like
-  /// solve_seconds) only when EngineOptions::time_solver is set:
-  /// activation routing, event dispatch (rate quantisation, zero-rate
-  /// recovery, time advance, completion scan), and auditor callbacks.
-  /// Wall-clock measurements, not physical results — exempt from the
-  /// bit-identity contracts the way the cache counters are.
   double route_seconds = 0.0;
+  /// FlowEngine sets it to advance + select + complete exactly; the
+  /// ReferenceEngine times it as one phase and leaves the three at 0.
   double dispatch_seconds = 0.0;
-  /// Sub-phases of dispatch_seconds (schema v6): advancing rate-changed
-  /// flows (quantisation + settle + finish-time refresh + zero-rate
-  /// recovery), selecting dt (finish-time min + arrival/fault caps), and
-  /// harvesting/processing completions. advance + select + complete ≈
-  /// dispatch up to timer overhead; like the other timers these measure
-  /// effort, not physics, and are exempt from the bit-identity contracts.
+  /// Sub-phases of dispatch_seconds: advancing rate-changed flows
+  /// (quantisation + settle + finish-time refresh + zero-rate recovery),
+  /// selecting dt (finish-time min + arrival/fault caps), and harvesting
+  /// and processing completions.
   double advance_seconds = 0.0;
   double select_seconds = 0.0;
   double complete_seconds = 0.0;
-  double audit_seconds = 0.0;
   double max_link_utilization = 0.0;  // busiest link's bytes/(cap*makespan)
   double avg_active_flows = 0.0;      // time-weighted mean active flow count
   std::uint32_t peak_active_flows = 0;
@@ -270,11 +255,11 @@ class FlowEngine {
     return link_bytes_;
   }
 
-  /// Attaches (or, with nullptr, detaches) an invariant auditor. The
-  /// auditor is consulted per EngineOptions::audit_level during run(); it
-  /// observes engine state through a read-only AuditView and may throw to
-  /// abort the run (the engine does not catch). The auditor must outlive
-  /// any run() it is attached for.
+  /// Attaches (or, with nullptr, detaches) an invariant auditor. An
+  /// attached auditor sees every run() from start to end and every event
+  /// in between (flowsim/audit.hpp); it observes engine state through a
+  /// read-only AuditView and may throw to abort the run (the engine does
+  /// not catch). The auditor must outlive any run() it is attached for.
   void set_auditor(FlowAuditor* auditor) noexcept { auditor_ = auditor; }
 
   /// Consecutive zero-progress events (simulated time frozen AND no flow
@@ -697,10 +682,10 @@ class FlowEngine {
   std::vector<FlowIndex> zero_rate_scratch_;
   std::vector<std::pair<LinkId, double>> fault_changed_scratch_;
 
-  // Invariant auditing (EngineOptions::audit_level + set_auditor). The
-  // audit state is only read when an auditor is attached; last_event_ is a
-  // pointer store per loop phase, cheap enough to maintain unconditionally
-  // so EngineError snapshots are always populated.
+  // Invariant auditing (set_auditor). The audit state is only read when an
+  // auditor is attached; last_event_ is a pointer store per loop phase,
+  // cheap enough to maintain unconditionally so EngineError snapshots are
+  // always populated.
   FlowAuditor* auditor_ = nullptr;
   const char* last_event_ = "start";
 

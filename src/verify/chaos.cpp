@@ -181,14 +181,13 @@ void apply_picks(FaultModel& model, const FaultPicks& picks) {
   options.retry_backoff_seconds = config.retry_backoff_seconds;
   options.record_flow_times = config.record_flow_times;
   options.max_events = 2'000'000;
-  options.audit_level = AuditLevel::kPerEvent;
   return options;
 }
 
 enum class RunKind { kPreApplied, kTimelineT0, kPoisson };
 
-/// One engine run of the configured trial; FlowEngine runs are audited
-/// per event.
+/// One engine run of the configured trial; FlowEngine runs carry the
+/// auditor, which sees every event.
 template <typename Engine>
 [[nodiscard]] SimResult run_trial(const ChaosConfig& config,
                                   const Topology& inner,
@@ -243,64 +242,14 @@ template <typename Engine>
   return engine.run(program, driver);
 }
 
-void compare_u64(const char* what, const char* field, std::uint64_t a,
-                 std::uint64_t b) {
-  if (a != b) {
-    throw std::runtime_error(std::string("differential [") + what + "] " +
-                             field + ": " + std::to_string(a) + " vs " +
-                             std::to_string(b));
-  }
-}
-
-void compare_f64(const char* what, const char* field, double a, double b) {
-  if (a != b) {
-    throw std::runtime_error(std::string("differential [") + what + "] " +
-                             field + ": " + fmt_double(a) + " vs " +
-                             fmt_double(b));
-  }
-}
-
-/// Every SimResult field must agree bit for bit except the effort counters
-/// (solver_rounds, cache hits/misses, phase timers), which measure work
-/// done rather than simulated physics. fault_events_applied is compared
-/// only when both runs deliver faults the same way.
+/// Throws when two runs of a trial differ on a physical SimResult field
+/// (physical_difference); fault_events_applied is compared only when both
+/// runs deliver faults the same way.
 void compare_results(const char* what, const SimResult& a, const SimResult& b,
                      bool compare_fault_events) {
-  compare_f64(what, "makespan", a.makespan, b.makespan);
-  compare_f64(what, "total_bytes", a.total_bytes, b.total_bytes);
-  compare_u64(what, "num_flows", a.num_flows, b.num_flows);
-  compare_u64(what, "events", a.events, b.events);
-  compare_f64(what, "max_link_utilization", a.max_link_utilization,
-              b.max_link_utilization);
-  compare_f64(what, "avg_active_flows", a.avg_active_flows,
-              b.avg_active_flows);
-  compare_u64(what, "peak_active_flows", a.peak_active_flows,
-              b.peak_active_flows);
-  for (std::size_t c = 0; c < a.bytes_by_class.size(); ++c) {
-    compare_f64(what, "bytes_by_class", a.bytes_by_class[c],
-                b.bytes_by_class[c]);
-  }
-  compare_u64(what, "stranded_flows", a.stranded_flows, b.stranded_flows);
-  compare_u64(what, "cancelled_flows", a.cancelled_flows, b.cancelled_flows);
-  compare_u64(what, "rerouted_flows", a.rerouted_flows, b.rerouted_flows);
-  compare_u64(what, "reroute_extra_hops",
-              static_cast<std::uint64_t>(a.reroute_extra_hops),
-              static_cast<std::uint64_t>(b.reroute_extra_hops));
-  if (compare_fault_events) {
-    compare_u64(what, "fault_events_applied", a.fault_events_applied,
-                b.fault_events_applied);
-  }
-  compare_u64(what, "recovered_flows", a.recovered_flows, b.recovered_flows);
-  compare_u64(what, "flow_retries", a.flow_retries, b.flow_retries);
-  compare_f64(what, "undelivered_bytes", a.undelivered_bytes,
-              b.undelivered_bytes);
-  compare_u64(what, "flow_finish_times.size", a.flow_finish_times.size(),
-              b.flow_finish_times.size());
-  for (std::size_t f = 0; f < a.flow_finish_times.size(); ++f) {
-    const double ta = a.flow_finish_times[f];
-    const double tb = b.flow_finish_times[f];
-    if (std::isnan(ta) && std::isnan(tb)) continue;
-    compare_f64(what, "flow_finish_times", ta, tb);
+  if (const auto diff = physical_difference(a, b, compare_fault_events)) {
+    throw std::runtime_error(std::string("differential [") + what + "] " +
+                             *diff);
   }
 }
 

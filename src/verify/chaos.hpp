@@ -14,11 +14,11 @@
 //   1. a *reference* run on the ReferenceEngine (reference_engine.hpp):
 //      from-scratch routing and max-min re-solve every event, sharing none
 //      of FlowEngine's incremental solve, caches or dispatch kernel;
-//   2. a *variant* run — FlowEngine with the InvariantAuditor attached at
-//      per-event level — whose SimResult
-//      must be bit-identical to the reference except for the work counters
-//      (solver_rounds, cache hits/misses, phase timers) that measure effort
-//      rather than physics;
+//   2. a *variant* run — FlowEngine with the InvariantAuditor attached,
+//      so every event is audited — whose SimResult must be bit-identical
+//      to the reference on every physical field (physical_difference in
+//      reference_engine.hpp: all but the work counters and phase timers,
+//      which measure effort rather than physics);
 //   3. for static fault scenarios, a third FlowEngine run delivering the
 //      same faults as t = 0 timeline events, which must agree bit for bit
 //      on every field but fault_events_applied (a pre-applied scenario

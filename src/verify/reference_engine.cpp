@@ -1,18 +1,19 @@
 #include "verify/reference_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "flowsim/maxmin.hpp"
+#include "flowsim/phase_clock.hpp"
 
 namespace nestflow::verify {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// Min-heap order on release time, no tie-break: equal-time pops follow
 /// heap order, exactly as in FlowEngine.
@@ -21,8 +22,17 @@ bool release_after(const std::pair<double, FlowIndex>& a,
   return a.first > b.first;
 }
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+/// A field value as the physics check reports it: integers in full,
+/// doubles with enough digits to round-trip.
+template <typename T>
+std::string show(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    return buffer;
+  } else {
+    return std::to_string(value);
+  }
 }
 
 }  // namespace
@@ -259,6 +269,7 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
   double now = 0.0;
   double weighted_active = 0.0;
   std::uint64_t zero_progress_events = 0;
+  PhaseClock clock(options_.time_solver);
 
   for (;;) {
     if (have_timeline) {
@@ -277,7 +288,7 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
     }
 
     // Activation pass: ready may grow while it runs (sync flows cascade).
-    const auto route_start = Clock::now();
+    clock.restart();
     for (std::size_t i = 0; i < ready.size(); ++i) {
       const FlowIndex f = ready[i];
       if (state_[f] != State::kPending) continue;
@@ -306,9 +317,7 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
       }
     }
     ready.clear();
-    if (options_.time_solver) {
-      result.route_seconds += seconds_since(route_start);
-    }
+    clock.lap(result.route_seconds);
 
     if (active_.empty() && !release_queue_.empty()) {
       now = std::max(now, release_queue_.front().first);
@@ -324,14 +333,11 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
     if (active_.empty()) break;
 
     // Re-solve every active flow from scratch.
-    const auto solve_start = Clock::now();
+    clock.restart();
     const std::vector<double> rates =
         maxmin_fair_rates(link_capacity_, active_paths_, active_weights_);
-    if (options_.time_solver) {
-      result.solve_seconds += seconds_since(solve_start);
-    }
+    clock.lap(result.solve_seconds);
 
-    const auto dispatch_start = Clock::now();
     zero_rate.clear();
     for (std::size_t i = 0; i < active_.size(); ++i) {
       const FlowIndex f = active_[i];
@@ -354,9 +360,7 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
       for (const FlowIndex f : zero_rate) {
         recover(f, now, remaining_[f], result);
       }
-      if (options_.time_solver) {
-        result.dispatch_seconds += seconds_since(dispatch_start);
-      }
+      clock.lap(result.dispatch_seconds);
       continue;
     }
 
@@ -420,9 +424,7 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
     } else if (++zero_progress_events > FlowEngine::kMaxZeroProgressEvents) {
       throw EngineError(EngineError::Kind::kLivelock, snapshot(now));
     }
-    if (options_.time_solver) {
-      result.dispatch_seconds += seconds_since(dispatch_start);
-    }
+    clock.lap(result.dispatch_seconds);
   }
 
   for (FlowIndex f = 0; f < n; ++f) {
@@ -449,6 +451,54 @@ SimResult ReferenceEngine::run_impl(const TrafficProgram& program,
   program_ = nullptr;
   dag_ = nullptr;
   return result;
+}
+
+std::optional<std::string> physical_difference(const SimResult& a,
+                                               const SimResult& b,
+                                               bool compare_fault_events) {
+  std::optional<std::string> diff;
+  // Records the first field whose values differ; `index` names the element
+  // of an array field.
+  const auto check = [&diff](const char* field, auto x, auto y,
+                             std::size_t index = SIZE_MAX) {
+    if (diff || x == y) return;
+    diff = field;
+    if (index != SIZE_MAX) {
+      diff->append("[").append(std::to_string(index)).append("]");
+    }
+    diff->append(": ").append(show(x)).append(" vs ").append(show(y));
+  };
+  check("makespan", a.makespan, b.makespan);
+  check("total_bytes", a.total_bytes, b.total_bytes);
+  check("num_flows", a.num_flows, b.num_flows);
+  check("events", a.events, b.events);
+  check("max_link_utilization", a.max_link_utilization,
+        b.max_link_utilization);
+  check("avg_active_flows", a.avg_active_flows, b.avg_active_flows);
+  check("peak_active_flows", a.peak_active_flows, b.peak_active_flows);
+  for (std::size_t c = 0; c < a.bytes_by_class.size(); ++c) {
+    check("bytes_by_class", a.bytes_by_class[c], b.bytes_by_class[c], c);
+  }
+  check("stranded_flows", a.stranded_flows, b.stranded_flows);
+  check("cancelled_flows", a.cancelled_flows, b.cancelled_flows);
+  check("rerouted_flows", a.rerouted_flows, b.rerouted_flows);
+  check("reroute_extra_hops", a.reroute_extra_hops, b.reroute_extra_hops);
+  if (compare_fault_events) {
+    check("fault_events_applied", a.fault_events_applied,
+          b.fault_events_applied);
+  }
+  check("recovered_flows", a.recovered_flows, b.recovered_flows);
+  check("flow_retries", a.flow_retries, b.flow_retries);
+  check("undelivered_bytes", a.undelivered_bytes, b.undelivered_bytes);
+  check("flow_finish_times.size", a.flow_finish_times.size(),
+        b.flow_finish_times.size());
+  for (std::size_t f = 0; !diff && f < a.flow_finish_times.size(); ++f) {
+    const double ta = a.flow_finish_times[f];
+    const double tb = b.flow_finish_times[f];
+    if (std::isnan(ta) && std::isnan(tb)) continue;
+    check("flow_finish_times", ta, tb, f);
+  }
+  return diff;
 }
 
 }  // namespace nestflow::verify

@@ -14,8 +14,9 @@
 // (Topology::try_route), the max-min kernel (through maxmin_fair_rates,
 // itself pinned against a frozen copy of the pre-kernel solver in
 // tests/test_maxmin_properties.cpp), DependencyDag, and the EngineError
-// type. What bit-identity with FlowEngine's physical SimResult fields
-// depends on (see DESIGN.md §15):
+// type. What bit-identity with FlowEngine's physical SimResult fields —
+// the ones physical_difference() below compares — depends on (see
+// DESIGN.md §15):
 //
 //   * flows are passed to the solver in activation order — the order
 //     FlowEngine's link incidence lists keep — because weighted rate deltas
@@ -33,12 +34,14 @@
 //     per-link weight sums incrementally, maxmin_fair_rates re-adds them.
 //
 // Work counters (solver_rounds, cache hits and misses) stay zero; the phase
-// timers route_seconds, solve_seconds and dispatch_seconds are filled when
-// EngineOptions::time_solver is set. audit_level and
-// solve_cache_budget_words are ignored.
+// timers route_seconds, solve_seconds and dispatch_seconds are filled, by
+// the engines' one PhaseClock, when EngineOptions::time_solver is set.
+// solve_cache_budget_words is ignored.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,5 +120,19 @@ class ReferenceEngine {
 
   std::vector<std::pair<double, FlowIndex>> release_queue_;  // min-heap
 };
+
+/// The physics check every FlowEngine-vs-ReferenceEngine comparison uses:
+/// the first physical SimResult field on which runs a and b differ, as
+/// "field: a vs b" (doubles printed to round-trip, array fields with their
+/// index), or nothing when they are the same simulation. Physical means
+/// every field but the work counters (solver_rounds, cache hits and
+/// misses) and the phase timers, which measure effort. Values compare with
+/// ==, except that NaN finish times (stranded or cancelled flows) compare
+/// equal; reroute_extra_hops is signed. With compare_fault_events false,
+/// fault_events_applied is left out: a static scenario applied before the
+/// run reports no events, the same faults as t = 0 timeline events report
+/// one each.
+[[nodiscard]] std::optional<std::string> physical_difference(
+    const SimResult& a, const SimResult& b, bool compare_fault_events = true);
 
 }  // namespace nestflow::verify

@@ -8,14 +8,15 @@
 #
 #   cmake -DFIG4=<fig4_heavy> -DTABLE1=<table1_distances>
 #         -DPERF=<perf_engine> -DSWEEP=<workload_sweep>
-#         -DTRACE=<trace_replay> -P tests/cli_errors.cmake
+#         -DTRACE=<trace_replay> -DEXPLORER=<topology_explorer>
+#         -P tests/cli_errors.cmake
 #
 # The perf_engine calls also ask for a small cell and no output file, and
 # the other engine drivers a small machine, so that a binary which accepts
 # the malformed token fails this test in seconds instead of benchmarking.
 cmake_minimum_required(VERSION 3.20)
 
-foreach(var FIG4 TABLE1 PERF SWEEP TRACE)
+foreach(var FIG4 TABLE1 PERF SWEEP TRACE EXPLORER)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_errors: -D${var}=... is required")
   endif()
@@ -76,6 +77,19 @@ expect_rejected("--max-rss-gb" "${PERF}" --max-rss-gb nan --points fattree
 set(small_sweep --nodes 64 --topologies fattree)
 expect_rejected("--quantum" "${SWEEP}" --quantum -0.5 ${small_sweep})
 expect_rejected("--latency" "${SWEEP}" --latency nan ${small_sweep})
+# workload_sweep takes perf_engine's matrix-point tokens: a trailing junk
+# suffix ran NestGHC(t=2,u=4), an empty t failed with a bare "stoul", and
+# t = -1 wrapped to a dimension product past 2^32.
+foreach(token nestghc-t2-u4junk nestghc-t-u4 nestghc-t-1-u4)
+  expect_rejected("${token}" "${SWEEP}" --nodes 64 --topologies ${token})
+endforeach()
+# topology_explorer --route on 16 endpoints: an id past the machine printed
+# a 0-hop route, 2^32 narrowed to endpoint 0, a trailing suffix was
+# ignored, and a non-number or a sign failed without naming the flag.
+foreach(route 99:3 4294967296:1 1:2junk x:1 -1:2)
+  expect_rejected("--route" "${EXPLORER}" --spec torus:4x4 --pairs 100
+    --route ${route})
+endforeach()
 expect_rejected("--latency" "${TRACE}" --latency -1)
 expect_rejected("--latency" "${TRACE}" --latency inf)
 # Trace records that replayed as something else: an endpoint id of 2^32

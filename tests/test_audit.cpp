@@ -10,6 +10,7 @@
 #include "resilience/fault_model.hpp"
 #include "resilience/fault_router.hpp"
 #include "topo/factory.hpp"
+#include "verify/reference_engine.hpp"
 #include "workloads/factory.hpp"
 
 namespace nestflow {
@@ -30,9 +31,7 @@ TrafficProgram make_program(const std::string& workload_name,
 
 TEST(Audit, PerEventAuditPassesOnHealthyRun) {
   const auto topo = make_topology("fattree:8,4");
-  EngineOptions options;
-  options.audit_level = AuditLevel::kPerEvent;
-  FlowEngine engine(*topo, options);
+  FlowEngine engine(*topo);
   InvariantAuditor auditor;
   engine.set_auditor(&auditor);
   const auto result = engine.run(make_program("nbodies", 32));
@@ -41,24 +40,11 @@ TEST(Audit, PerEventAuditPassesOnHealthyRun) {
   EXPECT_GT(auditor.events_audited(), 0u);
 }
 
-TEST(Audit, PerRunAuditSkipsEventCallbacks) {
-  const auto topo = make_topology("torus:4x4");
-  EngineOptions options;
-  options.audit_level = AuditLevel::kPerRun;
-  FlowEngine engine(*topo, options);
-  InvariantAuditor auditor;
-  engine.set_auditor(&auditor);
-  (void)engine.run(make_program("nearneighbors", 16));
-  EXPECT_EQ(auditor.runs_audited(), 1u);
-  EXPECT_EQ(auditor.events_audited(), 0u);
-}
-
 TEST(Audit, AuditsQuantisedWeightedAdaptiveRuns) {
   // The saturation oracle must widen its tolerance to the engine's rate
   // quantum; weighted flows exercise the share (rate/weight) certificate.
   const auto topo = make_topology("thintree:4,2,2");
   EngineOptions options;
-  options.audit_level = AuditLevel::kPerEvent;
   options.rate_quantum_rel = 0.01;
   options.adaptive_routing = true;
   FlowEngine engine(*topo, options);
@@ -77,9 +63,7 @@ TEST(Audit, TamperedCapacityTriggersCapacityOracle) {
   // engine that oversubscribes real ones — the oracle must fire. This is
   // the harness's own smoke test (can it catch an injected bug?).
   const auto topo = make_topology("torus:4x4");
-  EngineOptions options;
-  options.audit_level = AuditLevel::kPerEvent;
-  FlowEngine engine(*topo, options);
+  FlowEngine engine(*topo);
   AuditorOptions tampered;
   tampered.capacity_tamper_factor = 0.5;
   InvariantAuditor auditor(tampered);
@@ -109,9 +93,7 @@ TEST(Audit, StaticFaultReferenceChecksEffectiveCapacities) {
   model.kill_cable(transit);
 
   FaultAwareRouter router(*topo, model);
-  EngineOptions options;
-  options.audit_level = AuditLevel::kPerEvent;
-  FlowEngine engine(router, options);
+  FlowEngine engine(router);
   model.apply(engine);
 
   InvariantAuditor auditor;
@@ -129,28 +111,6 @@ TEST(Audit, StaticFaultReferenceChecksEffectiveCapacities) {
   EXPECT_GT(result.undelivered_bytes, 0.0);
 }
 
-TEST(Audit, AuditOffIsBitIdenticalToNoAuditor) {
-  const auto topo = make_topology("nesttree:32,2,1");
-  const auto program = make_program("mapreduce", 32);
-
-  FlowEngine plain(*topo);
-  const auto baseline = plain.run(program);
-
-  EngineOptions options;
-  options.audit_level = AuditLevel::kOff;
-  FlowEngine audited(*topo, options);
-  InvariantAuditor auditor;
-  audited.set_auditor(&auditor);
-  const auto result = audited.run(program);
-
-  EXPECT_EQ(result.makespan, baseline.makespan);  // bit-identical, no tol
-  EXPECT_EQ(result.total_bytes, baseline.total_bytes);
-  EXPECT_EQ(result.events, baseline.events);
-  EXPECT_EQ(result.solver_rounds, baseline.solver_rounds);
-  EXPECT_EQ(auditor.runs_audited(), 0u);
-  EXPECT_EQ(auditor.events_audited(), 0u);
-}
-
 TEST(Audit, PerEventAuditDoesNotPerturbResults) {
   const auto topo = make_topology("dragonfly:2,2,2");
   const auto program = make_program("unstructured-hr", 16, 7);
@@ -158,15 +118,13 @@ TEST(Audit, PerEventAuditDoesNotPerturbResults) {
   FlowEngine plain(*topo);
   const auto baseline = plain.run(program);
 
-  EngineOptions options;
-  options.audit_level = AuditLevel::kPerEvent;
-  FlowEngine audited(*topo, options);
+  FlowEngine audited(*topo);
   InvariantAuditor auditor;
   audited.set_auditor(&auditor);
   const auto result = audited.run(program);
 
-  EXPECT_EQ(result.makespan, baseline.makespan);
-  EXPECT_EQ(result.events, baseline.events);
+  EXPECT_EQ(verify::physical_difference(baseline, result), std::nullopt);
+  EXPECT_EQ(result.solver_rounds, baseline.solver_rounds);
   EXPECT_GT(auditor.events_audited(), 0u);
 }
 

@@ -10,6 +10,7 @@
 // under each recovery policy, weighted flows and warm replays.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -60,37 +61,6 @@ std::optional<TrafficProgram> try_generate(const Topology& topology,
   }
 }
 
-/// Every physical SimResult field, bit for bit.
-void expect_identical(const SimResult& a, const SimResult& b,
-                      const std::string& context) {
-  EXPECT_EQ(a.makespan, b.makespan) << context;
-  EXPECT_EQ(a.total_bytes, b.total_bytes) << context;
-  EXPECT_EQ(a.num_flows, b.num_flows) << context;
-  EXPECT_EQ(a.events, b.events) << context;
-  EXPECT_EQ(a.max_link_utilization, b.max_link_utilization) << context;
-  EXPECT_EQ(a.avg_active_flows, b.avg_active_flows) << context;
-  EXPECT_EQ(a.peak_active_flows, b.peak_active_flows) << context;
-  EXPECT_EQ(a.bytes_by_class, b.bytes_by_class) << context;
-  EXPECT_EQ(a.stranded_flows, b.stranded_flows) << context;
-  EXPECT_EQ(a.cancelled_flows, b.cancelled_flows) << context;
-  EXPECT_EQ(a.rerouted_flows, b.rerouted_flows) << context;
-  EXPECT_EQ(a.reroute_extra_hops, b.reroute_extra_hops) << context;
-  EXPECT_EQ(a.fault_events_applied, b.fault_events_applied) << context;
-  EXPECT_EQ(a.recovered_flows, b.recovered_flows) << context;
-  EXPECT_EQ(a.flow_retries, b.flow_retries) << context;
-  EXPECT_EQ(a.undelivered_bytes, b.undelivered_bytes) << context;
-  ASSERT_EQ(a.flow_finish_times.size(), b.flow_finish_times.size()) << context;
-  for (std::size_t f = 0; f < a.flow_finish_times.size(); ++f) {
-    // NaN marks stranded/cancelled flows; compare presence, not value.
-    if (std::isnan(a.flow_finish_times[f])) {
-      EXPECT_TRUE(std::isnan(b.flow_finish_times[f])) << context << " f" << f;
-    } else {
-      EXPECT_EQ(a.flow_finish_times[f], b.flow_finish_times[f])
-          << context << " f" << f;
-    }
-  }
-}
-
 /// Deterministic routing (so the route and solve caches engage) with
 /// per-flow finish times recorded.
 EngineOptions differential_options(EngineOptions options) {
@@ -109,7 +79,7 @@ SimResult check_against_reference(const std::string& context,
   options = differential_options(options);
   const SimResult want = run.template operator()<ReferenceEngine>(options);
   SimResult got = run.template operator()<FlowEngine>(options);
-  expect_identical(want, got, context);
+  EXPECT_EQ(verify::physical_difference(want, got), std::nullopt) << context;
   return got;
 }
 
@@ -157,9 +127,11 @@ TEST(Differential, BitIdenticalAtFigureSettings) {
         if (!program) continue;
         ReferenceEngine reference(*topo, options);
         FlowEngine engine(*topo, options);
-        expect_identical(reference.run(*program), engine.run(*program),
-                         family + " x " + spec +
-                             (adaptive ? " (adaptive)" : " (deterministic)"));
+        EXPECT_EQ(verify::physical_difference(reference.run(*program),
+                                              engine.run(*program)),
+                  std::nullopt)
+            << family + " x " + spec +
+                   (adaptive ? " (adaptive)" : " (deterministic)");
       }
     }
   }
@@ -306,7 +278,9 @@ TEST(Differential, WarmRunsReplayColdRunExactly) {
                   << context;
               for (int warm = 0; warm < 2; ++warm) {
                 const SimResult again = engine.run(program);
-                expect_identical(cold, again, context + " (warm)");
+                EXPECT_EQ(verify::physical_difference(cold, again),
+                          std::nullopt)
+                    << context << " (warm)";
                 EXPECT_EQ(again.route_cache_misses, 0u) << context;
                 EXPECT_EQ(again.solve_cache_misses, 0u) << context;
                 EXPECT_GT(again.solve_cache_hits, 0u) << context;
@@ -375,7 +349,9 @@ TEST(Differential, DepartureOnlyEventsBypassTheSolveCache) {
             }
             for (int warm = 0; warm < 3; ++warm) {
               const SimResult again = engine.run(c.program);
-              expect_identical(cold, again, std::string(c.name) + " (warm)");
+              EXPECT_EQ(verify::physical_difference(cold, again),
+                        std::nullopt)
+                  << c.name << " (warm)";
               EXPECT_EQ(lookups(again), lookups(cold)) << c.name;
             }
           }
@@ -409,7 +385,9 @@ TEST(Differential, SolveCacheBudgetBoundsWhatWarmRunsHit) {
             EXPECT_GT(cold.solve_cache_misses, 0u) << context;
             for (int warm = 0; warm < 2; ++warm) {
               const SimResult again = engine.run(program);
-              expect_identical(cold, again, context + " (warm)");
+              EXPECT_EQ(verify::physical_difference(cold, again),
+                        std::nullopt)
+                  << context << " (warm)";
               EXPECT_EQ(again.solve_cache_hits + again.solve_cache_misses,
                         cold.solve_cache_misses)
                   << context;
@@ -426,6 +404,72 @@ TEST(Differential, SolveCacheBudgetBoundsWhatWarmRunsHit) {
   }
 }
 
+/// The physics check's rules: the first differing field is named with both
+/// values, NaN finish times are equal, reroute_extra_hops is signed, and
+/// fault_events_applied can be left out.
+TEST(Differential, PhysicalDifferenceNamesTheFirstDifferingField) {
+  SimResult a;
+  a.flow_finish_times = {1.0, std::nan(""), 3.0};
+  a.reroute_extra_hops = -2;
+  a.fault_events_applied = 4;
+  SimResult b = a;
+  b.solver_rounds = 9;  // a work counter
+  b.route_seconds = 1.0;  // a timer
+  b.fault_events_applied = 0;
+  EXPECT_EQ(verify::physical_difference(a, b, false), std::nullopt);
+  EXPECT_EQ(verify::physical_difference(a, b),
+            "fault_events_applied: 4 vs 0");
+  b.fault_events_applied = 4;
+  b.reroute_extra_hops = 2;
+  b.flow_finish_times[2] = 0.5;
+  EXPECT_EQ(verify::physical_difference(a, b), "reroute_extra_hops: -2 vs 2");
+  b.reroute_extra_hops = -2;
+  EXPECT_EQ(verify::physical_difference(a, b),
+            "flow_finish_times[2]: 3 vs 0.5");
+  b.flow_finish_times[1] = 2.0;
+  EXPECT_EQ(verify::physical_difference(a, b),
+            "flow_finish_times[1]: nan vs 2");
+}
+
+/// EngineOptions::time_solver fills the phase timers and changes nothing
+/// else: off, both engines leave every timer at 0; on, a multi-event run
+/// fills each phase, and FlowEngine's dispatch is exactly the sum of its
+/// three sub-phases.
+TEST(Differential, PhaseTimersMeasureWithoutChangingPhysics) {
+  const auto topo = make_topology("nestghc:64,2,2");
+  const TrafficProgram program = generate(*topo, "sweep3d");
+  EngineOptions options = differential_options({});
+  const SimResult flow_off = FlowEngine(*topo, options).run(program);
+  const SimResult reference_off = ReferenceEngine(*topo, options).run(program);
+  options.time_solver = true;
+  const SimResult flow_on = FlowEngine(*topo, options).run(program);
+  const SimResult reference_on = ReferenceEngine(*topo, options).run(program);
+  ASSERT_GT(flow_on.events, 1u);
+
+  const auto timers = [](const SimResult& r) {
+    return std::array{r.route_seconds,   r.solve_seconds,
+                      r.dispatch_seconds, r.advance_seconds,
+                      r.select_seconds,  r.complete_seconds};
+  };
+  for (const double t : timers(flow_off)) EXPECT_EQ(t, 0.0);
+  for (const double t : timers(reference_off)) EXPECT_EQ(t, 0.0);
+  for (const double t : timers(flow_on)) EXPECT_GT(t, 0.0);
+  EXPECT_EQ(flow_on.dispatch_seconds, flow_on.advance_seconds +
+                                          flow_on.select_seconds +
+                                          flow_on.complete_seconds);
+  EXPECT_GT(reference_on.route_seconds, 0.0);
+  EXPECT_GT(reference_on.solve_seconds, 0.0);
+  EXPECT_GT(reference_on.dispatch_seconds, 0.0);
+
+  EXPECT_EQ(verify::physical_difference(flow_off, flow_on), std::nullopt);
+  EXPECT_EQ(verify::physical_difference(reference_off, reference_on),
+            std::nullopt);
+  EXPECT_EQ(verify::physical_difference(reference_on, flow_on), std::nullopt);
+  EXPECT_EQ(flow_on.solver_rounds, flow_off.solver_rounds);
+  EXPECT_EQ(flow_on.route_cache_hits, flow_off.route_cache_hits);
+  EXPECT_EQ(flow_on.solve_cache_hits, flow_off.solve_cache_hits);
+}
+
 /// Capacity edits between runs must invalidate memoized rates (capacity
 /// bits are part of every solve-cache key).
 TEST(Incremental, CapacityChangesInvalidateMemoizedRates) {
@@ -439,13 +483,17 @@ TEST(Incremental, CapacityChangesInvalidateMemoizedRates) {
   reused.set_capacity_factor(degraded, 0.5);
   ReferenceEngine reference(*topo, options);
   reference.set_capacity_factor(degraded, 0.5);
-  expect_identical(reference.run(program), reused.run(program),
-                   "degraded torus");
+  EXPECT_EQ(verify::physical_difference(reference.run(program),
+                                        reused.run(program)),
+            std::nullopt)
+      << "degraded torus";
 
   reused.reset_capacity_factors();
   reference.reset_capacity_factors();
-  expect_identical(reference.run(program), reused.run(program),
-                   "restored torus");
+  EXPECT_EQ(verify::physical_difference(reference.run(program),
+                                        reused.run(program)),
+            std::nullopt)
+      << "restored torus";
 }
 
 /// One run of a single 1-hop flow on an 8-ring whose cable dies at
