@@ -70,8 +70,8 @@ constexpr double kMinSampleSeconds = 0.2;
 // The only values any caller passed, and perfbench's warm-replay settings.
 // 512 MiB of solve cache keeps a steady run's memoized solves resident; only
 // the whole-set solves of arrival events are memoized, so the N = 1024
-// mapreduce cell stores about 17 MB (2.1M words, almost all of it the
-// shuffle's one entry).
+// mapreduce cell stores about 22 MB (2.7M words, almost all of it the
+// shuffle's one entry and the round log saved with it).
 constexpr double kHopLatencySeconds = 1e-6;
 constexpr std::size_t kSolveCacheWords = (std::size_t{512} << 20) / 8;
 

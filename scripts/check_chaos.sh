@@ -10,8 +10,9 @@
 # policy) cell of the 7 x 11 x 3 coverage matrix once (see
 # src/verify/chaos.hpp); the default range is therefore the smallest run
 # that exercises the whole matrix. Every seed executes a reference run, a
-# FlowEngine variant run (incremental solve, caches, lazy dispatch), and —
-# for static-fault
+# FlowEngine variant run (incremental solve, caches, lazy dispatch), two
+# warm replays of the variant on the same engine (all but Poisson-timeline
+# seeds) and — for static-fault
 # scenarios — a t0-timeline differential, all under the per-event
 # InvariantAuditor. Degenerate-input probes run first.
 #

@@ -157,7 +157,9 @@ void FlowEngine::drop_solve_cache() {
   solve_cache_entries_.clear();
   solve_key_arena_.clear();
   solve_rates_arena_.clear();
+  solve_log_words_ = 0;
   solve_insert_armed_ = false;
+  log_entry_ = kNoLogEntry;
 }
 
 bool FlowEngine::activate(FlowIndex f, double now, SimResult& result) {
@@ -524,27 +526,66 @@ const double* FlowEngine::probe_solve_cache(SimResult& result) {
                      solve_key_arena_.begin() +
                          static_cast<std::ptrdiff_t>(entry.key_offset))) {
         ++result.solve_cache_hits;
+        log_entry_ = entry.log.empty() ? kNoLogEntry : index;
         return solve_rates_arena_.data() + entry.rates_offset;
       }
     }
   }
   ++result.solve_cache_misses;
-  solve_insert_armed_ = solve_key_arena_.size() + key_words +
-                            solve_rates_arena_.size() + active_flows_.size() <=
-                        options_.solve_cache_budget_words;
+  solve_insert_armed_ =
+      solve_cache_words() + key_words + active_flows_.size() <=
+      options_.solve_cache_budget_words;
   return nullptr;
 }
 
 void FlowEngine::store_solve_cache() {
+  log_entry_ = kNoLogEntry;
   if (!solve_insert_armed_) return;
   solve_insert_armed_ = false;
-  solve_cache_map_[solve_key_hash_].push_back(solve_cache_entries_.size());
+  log_entry_ = solve_cache_entries_.size();
+  solve_cache_map_[solve_key_hash_].push_back(log_entry_);
   solve_cache_entries_.push_back(SolveCacheEntry{
-      solve_key_arena_.size(), solve_key_.size(), solve_rates_arena_.size()});
+      solve_key_arena_.size(), solve_key_.size(), solve_rates_arena_.size(),
+      {}});
   solve_key_arena_.insert(solve_key_arena_.end(), solve_key_.begin(),
                           solve_key_.end());
   for (const FlowIndex f : active_flows_) {
     solve_rates_arena_.push_back(rates_[f]);
+  }
+}
+
+// Out of line: it runs on a few events per run, and run_impl's loop is
+// sensitive to what is inlined into it.
+[[gnu::noinline]] void FlowEngine::save_or_restore_log() {
+  // Undo the swap-removals newest first: a departed flow's active_pos_
+  // still names the slot it left, which the then-tail flow moved into.
+  // active_flows_ regrows within its capacity.
+  for (std::size_t i = departed_.size(); i-- > 0;) {
+    const FlowIndex f = departed_[i];
+    const std::uint32_t s = active_pos_[f];
+    const auto tail = static_cast<std::uint32_t>(active_flows_.size());
+    FlowIndex back = f;
+    if (s != tail) {
+      back = active_flows_[s];
+      active_pos_[back] = tail;
+      active_flows_[s] = f;
+    }
+    active_flows_.push_back(back);
+  }
+  SolveCacheEntry& entry = solve_cache_entries_[log_entry_];
+  if (entry.log.empty()) {
+    entry.log = solver_.save_log(
+        active_pos_, options_.solve_cache_budget_words - solve_cache_words());
+    solve_log_words_ += entry.log.words();
+  } else {
+    solver_.restore_log(EngineContext{this}, entry.log, active_flows_);
+  }
+  for (const FlowIndex f : departed_) {
+    const std::uint32_t s = active_pos_[f];
+    const FlowIndex moved = active_flows_.back();
+    active_flows_[s] = moved;
+    active_pos_[moved] = s;
+    active_flows_.pop_back();
   }
 }
 
@@ -846,6 +887,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   solve_cache_active_ =
       route_cache_active_ && !options_.adaptive_routing && unit_weights_;
   solve_log_valid_ = false;
+  log_entry_ = kNoLogEntry;
   non_departure_change_ = false;
   departed_.clear();
   solve_insert_armed_ = false;
@@ -1013,10 +1055,11 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     // A whole-set solve-cache hit's memoized rates, in slot order. The
     // event's fused sweep streams them instead of a scatter into rates_ and
     // its own gather from it: the sweep compares each quantised rate with
-    // slot_rate_, never with rates_, and the hit invalidates the round log,
-    // so nothing reads the rates_ entries it leaves unwritten before a solve
-    // rewrites them. The arena cannot reallocate before the sweep, since
-    // only a miss stores.
+    // slot_rate_, never with rates_, and nothing reads the rates_ entries
+    // it leaves unwritten before a solve rewrites them (a resume on the
+    // entry's restored log reads and writes only the flows it refreezes).
+    // The arena cannot reallocate before the sweep, since only a miss
+    // stores.
     const double* whole_hit = nullptr;
     // The selection policy below only routes work: whole active set or
     // per-component ranges. Every choice reproduces the same rates
@@ -1094,7 +1137,10 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
           // round log above the earliest round a departed flow froze in
           // (DESIGN.md §11) — the same rates a fresh solve computes. Every
           // other flow keeps its raw rate in rates_, so only the flows the
-          // resume froze anew can change rate.
+          // resume froze anew can change rate. Right after a solve the
+          // cache stored, the log is first saved into its entry; right
+          // after a hit, the entry's log is first restored.
+          if (log_entry_ != kNoLogEntry) save_or_restore_log();
           result.solver_rounds +=
               solver_.resume(ctx, departed_, active_flows_.size(), rates_);
           solved = solver_.refrozen_flows();
@@ -1107,7 +1153,8 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         // a future hit lands on identical quantised values.
         store_solve_cache();
       }
-      solve_log_valid_ = unit_weights_ && whole_hit == nullptr;
+      solve_log_valid_ =
+          unit_weights_ && (whole_hit == nullptr || log_entry_ != kNoLogEntry);
     } else {
       // Per-component ranges, solved afresh: the solve cache holds only
       // whole-set solves.

@@ -107,13 +107,14 @@ struct EngineOptions {
   /// short-path topologies (the torus on wavefront traffic) beat
   /// longer-path ones when messages are small. 0 = pure bandwidth model.
   double hop_latency_seconds = 0.0;
-  /// Word budget for the solve cache's content + rate arenas (8 bytes per
-  /// word): insertion stops once storing another entry would exceed it, so
+  /// Word budget for the solve cache's content, rate and round-log arenas
+  /// (8 bytes per word): insertion stops once storing another entry would
+  /// exceed it, and an entry whose round log would not fit keeps none, so
   /// this bounds the cache's memory, not its lifetime. The default (8M
   /// words = 64 MiB) holds the N = 1024 mapreduce shuffle's one giant
-  /// arrival entry (~2.1M words of key and rates); a caller that replays
-  /// bigger programs on a persistent engine should raise it so their
-  /// memoized solves stay resident across run() calls.
+  /// arrival entry (~2.1M words of key and rates, ~0.6M of round log); a
+  /// caller that replays bigger programs on a persistent engine should
+  /// raise it so their memoized solves stay resident across run() calls.
   /// bench/perf_engine's kSolveCacheWords and perfbench's warm-replay pass
   /// 64M words (512 MiB).
   std::size_t solve_cache_budget_words = 8u << 20;
@@ -289,6 +290,10 @@ class FlowEngine {
   enum class FlowState : std::uint8_t { kPending, kActive, kDone, kCancelled };
 
   /// Solver context over the engine's structure-of-arrays state.
+  /// flow_path is forced inline: it is one load of each of three per-flow
+  /// arrays, and in an LTO build run_impl, which resume() is inlined into,
+  /// had outgrown the inliner's budget, so resume's loops over the departed
+  /// flows' paths called an out-of-line copy once per flow.
   struct EngineContext {
     const FlowEngine* engine;
     [[nodiscard]] double capacity(LinkId l) const {
@@ -300,7 +305,8 @@ class FlowEngine {
     [[nodiscard]] bool flow_active(FlowIndex f) const {
       return engine->state_[f] == FlowState::kActive;
     }
-    [[nodiscard]] std::span<const LinkId> flow_path(FlowIndex f) const {
+    [[nodiscard, gnu::always_inline]] std::span<const LinkId> flow_path(
+        FlowIndex f) const {
       return engine->path_view(f);
     }
     [[nodiscard]] double flow_weight(FlowIndex f) const {
@@ -372,16 +378,31 @@ class FlowEngine {
   void solve_components(SimResult& result);
   /// Looks the whole-set max-min problem (used_links_, active_flows_) up in
   /// the solve cache by exact content. Returns the memoized rates in slot
-  /// order on a hit. On a miss returns nullptr and arms store_solve_cache()
-  /// when the entry would fit the budget. Counts a hit or a miss, except
-  /// when some flow lacks a stable path identity (extent not owned by the
-  /// route cache): that problem is not memoizable, and the probe returns
-  /// nullptr unarmed.
+  /// order on a hit, and points log_entry_ at the entry when it holds a
+  /// round log (else clears it). On a miss returns nullptr and arms
+  /// store_solve_cache() when the entry would fit the budget. Counts a hit
+  /// or a miss, except when some flow lacks a stable path identity (extent
+  /// not owned by the route cache): that problem is not memoizable, and
+  /// the probe returns nullptr unarmed.
   [[nodiscard]] const double* probe_solve_cache(SimResult& result);
   /// Stores the last probed key with the just-solved rates of
   /// active_flows_ (the probed flows, in slot order) when that probe armed
-  /// it; a no-op otherwise.
+  /// it, and points log_entry_ at the new entry; otherwise clears
+  /// log_entry_.
   void store_solve_cache();
+  /// Run by a departure-only event that resumes while log_entry_ is set:
+  /// saves the solver's round log into that entry when the entry has none
+  /// (it was stored by the last solve) and the log fits the budget, or
+  /// restores the entry's log into the solver (the last event hit it).
+  /// Either way flows are named by their slot position in the last solve,
+  /// which this event's departures permuted: their swap-removals are
+  /// undone, newest first, for the copy and redone after it.
+  void save_or_restore_log();
+  /// Words the solve cache holds: keys, rates and saved round logs.
+  [[nodiscard]] std::size_t solve_cache_words() const noexcept {
+    return solve_key_arena_.size() + solve_rates_arena_.size() +
+           solve_log_words_;
+  }
   /// Empties the solve cache (capacity edits would leave dead entries —
   /// they can never match again, since capacity bits are part of the key).
   void drop_solve_cache();
@@ -534,17 +555,32 @@ class FlowEngine {
   // §6). Persists across run() calls; insertion stops at
   // EngineOptions::solve_cache_budget_words.
   /// Offsets and lengths in words, as wide as the arenas they index: the
-  /// budget is a size_t, so an arena may pass 2^32 words.
+  /// budget is a size_t, so an arena may pass 2^32 words. An entry also
+  /// keeps the round log of the solve it memoizes, flows named by slot
+  /// position, when the event right after that solve departed only (the
+  /// one kind of event that resumes a log): a later hit of the entry is
+  /// then followed by the same kind of event in a replay, which restores
+  /// the log and resumes instead of solving afresh (DESIGN.md §11). The
+  /// log counts against the same budget; one that does not fit is not
+  /// kept.
   struct SolveCacheEntry {
     std::size_t key_offset;
     std::size_t key_words;
     std::size_t rates_offset;
+    SavedRoundLog log;  // empty until saved
   };
+  static constexpr std::size_t kNoLogEntry = ~std::size_t{0};
   std::unordered_map<std::uint64_t, std::vector<std::size_t>>
       solve_cache_map_;
   std::vector<SolveCacheEntry> solve_cache_entries_;
   std::vector<std::uint64_t> solve_key_arena_;
   std::vector<double> solve_rates_arena_;
+  std::size_t solve_log_words_ = 0;  // summed over the entries' logs
+  /// While solve_log_valid_: the entry the last whole-set solve stored (its
+  /// log not yet saved) or hit (its log not yet restored), else
+  /// kNoLogEntry. Read by the next event that resumes
+  /// (save_or_restore_log); every whole-set event rewrites it.
+  std::size_t log_entry_ = kNoLogEntry;
   std::vector<std::uint64_t> solve_key_;  // current solve's content blob
   bool solve_cache_active_ = false;  // resolved per run()
   bool solve_insert_armed_ = false;  // miss was cacheable; store after solve
@@ -660,18 +696,22 @@ class FlowEngine {
   /// Restart-backoff retries park here too (at now + backoff).
   std::vector<std::pair<double, FlowIndex>> release_queue_;  // min-heap
   FairShareSolver<EngineContext> solver_;
-  /// True while solver_'s round log describes the active set as of the last
+  /// True while a round log describes the active set as of the last
   /// whole-set solve plus the departures in departed_, so the next event
   /// resumes it (DESIGN.md §11) and advances only the flows it refreezes
-  /// (§12). Needs unit weights; cleared by any activation, detach, capacity
-  /// change, component solve or whole-set solve-cache hit.
+  /// (§12). The log is solver_'s, or, after a whole-set solve-cache hit,
+  /// the hit entry's, which that event restores first; a hit of an entry
+  /// without one clears the flag. Needs unit weights; cleared by any
+  /// activation, detach, capacity change or component solve.
   bool solve_log_valid_ = false;
   /// Set by an activation, a detach or a capacity change, cleared by every
   /// solve: false means only departures happened since the last solve. Only
   /// events with it set may probe or insert the solve cache.
   bool non_departure_change_ = false;
   bool unit_weights_ = false;  // every flow weight of this run is 1
-  std::vector<FlowIndex> departed_;  // completed since the last solve
+  /// Completed since the last solve, in the order their slots were
+  /// swap-removed; each one's active_pos_ still names the slot it left.
+  std::vector<FlowIndex> departed_;
   Path route_scratch_;
   std::vector<FlowIndex> cancel_stack_;  // scratch for cancel_descendants
 

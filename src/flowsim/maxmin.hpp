@@ -138,6 +138,28 @@
 // lives in vectors sized by one solve (its frozen flows and its slot
 // writes), so it follows the active set, not the program's total flow
 // count.
+//
+// Saved logs. save_log() copies a solve()'s log into a SavedRoundLog with
+// every flow named by its slot position in the solved set, and
+// restore_log() rebuilds from such a copy the state that solve() left, in
+// a solver whose flows have other indices, so resume() can follow. It is
+// exact for an instance with the same links, capacities and weight sums
+// and, at each position, a flow with the same path and unit weight:
+//   * equal-path unit-weight flows are interchangeable: each freezes in the
+//     first round that batches one of its links, and every rate a round
+//     assigns is the round's share, so a round freezes the same positions
+//     and subtracts the same value the same number of times from each link;
+//   * the order of the flows within a round matters to nothing but the
+//     order refrozen_flows() lists them in;
+//   * each link appears at most once among a round's writes (a batch link
+//     is never also a touched one), so a round's writes apply in any order.
+// Per-link slot and round state is rebuilt, not stored: a link's starting
+// weight is what its writes removed plus what it still carried at the end,
+// and the round that left it no weight is the one a resume() reads from
+// it. (For a batch link that is its batch round. A link drained by other
+// bottlenecks gets the round that drained it, where a solve() leaves no
+// round; every flow on it froze in that round or earlier, at a batch link
+// of its own, so the minimum a resume() takes is the same.)
 #pragma once
 
 #include <algorithm>
@@ -152,6 +174,36 @@
 #include "util/arena.hpp"
 
 namespace nestflow {
+
+/// A solve()'s round log saved by FairShareSolver::save_log. A round
+/// records where its writes and frozen flows start. A write holds a link,
+/// the weight the round removed from it as a count (saved logs have unit
+/// weights, so the count is exact) and the residual the link held before
+/// the round. The round writes are followed by the live links: one record
+/// per link that still carried weight when the solve ended, with that
+/// weight and its residual. Frozen flows are slot positions, in freeze
+/// order. Each array is allocated once, at its final size.
+struct SavedRoundLog {
+  struct Round {
+    std::uint32_t write_begin;
+    std::uint32_t frozen_begin;
+  };
+  struct Write {
+    LinkId link;
+    std::uint32_t weight;
+    double residual;
+  };
+  std::vector<Round> rounds;  // empty: no log
+  std::vector<Write> writes;
+  std::size_t num_writes = 0;  // round writes; the live records follow
+  std::vector<std::uint32_t> frozen;
+
+  [[nodiscard]] bool empty() const noexcept { return rounds.empty(); }
+  /// 8-byte words its arrays occupy.
+  [[nodiscard]] std::size_t words() const noexcept {
+    return rounds.size() + 2 * writes.size() + (frozen.size() + 1) / 2;
+  }
+};
 
 template <typename Ctx>
 class FairShareSolver {
@@ -299,6 +351,115 @@ class FairShareSolver {
   /// resume() or resize().
   [[nodiscard]] std::span<const FlowIndex> refrozen_flows() const noexcept {
     return std::span<const FlowIndex>(log_frozen_).subspan(refrozen_begin_);
+  }
+
+  /// Copies the round log of the last solve(), naming each frozen flow f
+  /// by position_of[f], its slot position in the solved set (see the
+  /// header's saved logs). The log must be unchanged since that solve() (no
+  /// resume() in between) and every weight 1. Returns an empty log when
+  /// the copy would take more than `max_words` words.
+  [[nodiscard]] SavedRoundLog save_log(
+      std::span<const std::uint32_t> position_of,
+      std::size_t max_words) const {
+    std::size_t num_live = 0;
+    for (std::uint32_t s = 0; s < live_slots_; ++s) {
+      num_live += slot_weight_[s] > 0.0;
+    }
+    const std::size_t words = log_rounds_.size() +
+                              2 * (log_writes_.size() + num_live) +
+                              (log_frozen_.size() + 1) / 2;
+    if (words > max_words ||
+        log_writes_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      return {};
+    }
+    SavedRoundLog log;
+    log.rounds.reserve(log_rounds_.size());
+    for (const LoggedRound& r : log_rounds_) {
+      log.rounds.push_back({static_cast<std::uint32_t>(r.write_begin),
+                            static_cast<std::uint32_t>(r.frozen_begin)});
+    }
+    log.writes.reserve(log_writes_.size() + num_live);
+    for (const LoggedWrite& w : log_writes_) {
+      log.writes.push_back(
+          {w.link, static_cast<std::uint32_t>(w.removed_weight), w.residual});
+    }
+    log.num_writes = log_writes_.size();
+    for (std::uint32_t s = 0; s < live_slots_; ++s) {
+      if (slot_weight_[s] > 0.0) {
+        log.writes.push_back({slot_link_[s],
+                              static_cast<std::uint32_t>(slot_weight_[s]),
+                              slot_residual_[s]});
+      }
+    }
+    log.frozen.reserve(log_frozen_.size());
+    for (const FlowIndex f : log_frozen_) log.frozen.push_back(position_of[f]);
+    return log;
+  }
+
+  /// Rebuilds from a saved log the state its solve() left, with flow_at[p]
+  /// the flow at slot position p, so that resume() follows exactly as it
+  /// would after that solve() (see the header's saved logs). The context
+  /// must report the saved solve's capacities. Writes no rate. O(writes +
+  /// flows).
+  void restore_log(const Ctx& ctx, const SavedRoundLog& log,
+                   std::span<const FlowIndex> flow_at) {
+    // One slot per link the log names, holding its capacity and every
+    // weight it ever carried (integer sums, so exact in any order).
+    // link_slot_ may hold anything from earlier solves: a link has its slot
+    // only when that slot names it back.
+    std::uint32_t nslots = 0;
+    for (const SavedRoundLog::Write& w : log.writes) {
+      std::uint32_t s = link_slot_[w.link];
+      if (s >= nslots || slot_link_[s] != w.link) {
+        s = nslots++;
+        slot_link_[s] = w.link;
+        slot_residual_[s] = ctx.capacity(w.link);
+        slot_weight_[s] = 0.0;
+        link_slot_[w.link] = s;
+        link_round_[w.link] = kNoRound;
+      }
+      slot_weight_[s] += w.weight;
+    }
+    live_slots_ = nslots;
+
+    // Replay the rounds: each write leaves its link at the residual it
+    // logged (the next write of the link, or the live record, moves it on)
+    // and removes its weight.
+    log_rounds_.clear();
+    log_writes_.clear();
+    log_frozen_.clear();
+    refrozen_begin_ = 0;
+    for (std::size_t r = 0; r < log.rounds.size(); ++r) {
+      log_rounds_.push_back(
+          LoggedRound{log.rounds[r].write_begin, log.rounds[r].frozen_begin});
+      const std::size_t end = r + 1 < log.rounds.size()
+                                  ? log.rounds[r + 1].write_begin
+                                  : log.num_writes;
+      for (std::size_t i = log.rounds[r].write_begin; i < end; ++i) {
+        const SavedRoundLog::Write& w = log.writes[i];
+        const std::uint32_t s = link_slot_[w.link];
+        log_writes_.push_back(LoggedWrite{w.link, w.residual,
+                                          static_cast<double>(w.weight)});
+        slot_residual_[s] = w.residual;
+        slot_weight_[s] -= w.weight;
+        if (slot_weight_[s] == 0.0) {
+          link_round_[w.link] = static_cast<std::uint32_t>(r);
+        }
+      }
+    }
+    for (std::size_t i = log.num_writes; i < log.writes.size(); ++i) {
+      slot_residual_[link_slot_[log.writes[i].link]] = log.writes[i].residual;
+    }
+    if (log.num_writes == 0) {
+      // The first-round broadcast, which writes nothing: it batched every
+      // live link.
+      for (std::uint32_t s = 0; s < nslots; ++s) link_round_[slot_link_[s]] = 0;
+    }
+    for (const std::uint32_t p : log.frozen) {
+      const FlowIndex f = flow_at[p];
+      log_frozen_.push_back(f);
+      frozen_[f] = kFrozenOld;
+    }
   }
 
  private:

@@ -184,10 +184,24 @@ void apply_picks(FaultModel& model, const FaultPicks& picks) {
   return options;
 }
 
+/// Throws when two runs of a trial differ on a physical SimResult field
+/// (physical_difference); fault_events_applied is compared only when both
+/// runs deliver faults the same way.
+void compare_results(const char* what, const SimResult& a, const SimResult& b,
+                     bool compare_fault_events) {
+  if (const auto diff = physical_difference(a, b, compare_fault_events)) {
+    throw std::runtime_error(std::string("differential [") + what + "] " +
+                             *diff);
+  }
+}
+
 enum class RunKind { kPreApplied, kTimelineT0, kPoisson };
 
 /// One engine run of the configured trial; FlowEngine runs carry the
-/// auditor, which sees every event.
+/// auditor, which sees every event. A pre-applied FlowEngine trial then
+/// runs its program twice more on the same engine, still audited: those
+/// warm runs route and solve from the caches the first run filled, saved
+/// round logs included, and must repeat its physics exactly.
 template <typename Engine>
 [[nodiscard]] SimResult run_trial(const ChaosConfig& config,
                                   const Topology& inner,
@@ -219,7 +233,14 @@ template <typename Engine>
 
   if (pre_applied) {
     if (config.fault_mode != ChaosFaultMode::kNone) model.apply(engine);
-    return engine.run(program);
+    const SimResult result = engine.run(program);
+    if constexpr (std::is_same_v<Engine, FlowEngine>) {
+      for (int warm = 0; warm < 2; ++warm) {
+        compare_results("cold-vs-warm", result, engine.run(program),
+                        /*compare_fault_events=*/true);
+      }
+    }
+    return result;
   }
   FaultTimeline timeline;
   if (run_kind == RunKind::kTimelineT0) {
@@ -240,17 +261,6 @@ template <typename Engine>
   }
   TimelineFaultDriver driver(timeline, model);
   return engine.run(program, driver);
-}
-
-/// Throws when two runs of a trial differ on a physical SimResult field
-/// (physical_difference); fault_events_applied is compared only when both
-/// runs deliver faults the same way.
-void compare_results(const char* what, const SimResult& a, const SimResult& b,
-                     bool compare_fault_events) {
-  if (const auto diff = physical_difference(a, b, compare_fault_events)) {
-    throw std::runtime_error(std::string("differential [") + what + "] " +
-                             *diff);
-  }
 }
 
 }  // namespace

@@ -260,36 +260,114 @@ TEST(Differential, TimelineRunsBitIdenticalToReference) {
 
 /// The route and solve caches persist across run() calls on one engine;
 /// warm runs must replay the reference exactly and route and solve entirely
-/// from cache.
+/// from cache. A warm run's departure-only events resume too: the one
+/// after each hit on the round log the hit entry carries (DESIGN.md §11),
+/// the later ones on the log that resume left. So a warm run freezes
+/// exactly the bottleneck links the cold run's resumes froze, which are 7
+/// on sweep3d @ nestghc:64,2,2 and none on the other cells. Before entries
+/// carried logs, the departure after a hit solved afresh, and those two
+/// cells' warm runs froze 31 links (sweep3d) and 193 (mapreduce @
+/// nestghc:64,2,2).
 TEST(Differential, WarmRunsReplayColdRunExactly) {
-  for (const std::string family : {"nestghc:64,2,2", "fattree:4,4"}) {
-    const auto topo = make_topology(family);
-    for (const std::string spec :
-         {"sweep3d", "nearneighbors", "allreduce", "mapreduce"}) {
-      const TrafficProgram program = generate(*topo, spec);
-      const std::string context = family + " x " + spec;
-      check_against_reference(
-          context, {},
-          [&]<typename Engine>(const EngineOptions& options) {
-            Engine engine(*topo, options);
-            const SimResult cold = engine.run(program);
-            if constexpr (std::is_same_v<Engine, FlowEngine>) {
-              EXPECT_GT(cold.solve_cache_hits + cold.solve_cache_misses, 0u)
-                  << context;
-              for (int warm = 0; warm < 2; ++warm) {
-                const SimResult again = engine.run(program);
-                EXPECT_EQ(verify::physical_difference(cold, again),
-                          std::nullopt)
-                    << context << " (warm)";
-                EXPECT_EQ(again.route_cache_misses, 0u) << context;
-                EXPECT_EQ(again.solve_cache_misses, 0u) << context;
-                EXPECT_GT(again.solve_cache_hits, 0u) << context;
-              }
+  const struct {
+    const char* family;
+    const char* workload;
+    std::uint64_t warm_rounds;
+  } cells[] = {{"nestghc:64,2,2", "sweep3d", 7},
+               {"nestghc:64,2,2", "nearneighbors", 0},
+               {"nestghc:64,2,2", "allreduce", 0},
+               {"nestghc:64,2,2", "mapreduce", 0},
+               {"fattree:4,4", "sweep3d", 0},
+               {"fattree:4,4", "nearneighbors", 0},
+               {"fattree:4,4", "allreduce", 0},
+               {"fattree:4,4", "mapreduce", 0}};
+  for (const auto& cell : cells) {
+    const auto topo = make_topology(cell.family);
+    const TrafficProgram program = generate(*topo, cell.workload);
+    const std::string context =
+        std::string(cell.family) + " x " + cell.workload;
+    check_against_reference(
+        context, {}, [&]<typename Engine>(const EngineOptions& options) {
+          Engine engine(*topo, options);
+          const SimResult cold = engine.run(program);
+          if constexpr (std::is_same_v<Engine, FlowEngine>) {
+            EXPECT_GT(cold.solve_cache_hits + cold.solve_cache_misses, 0u)
+                << context;
+            for (int warm = 0; warm < 2; ++warm) {
+              const SimResult again = engine.run(program);
+              EXPECT_EQ(verify::physical_difference(cold, again),
+                        std::nullopt)
+                  << context << " (warm)";
+              EXPECT_EQ(again.route_cache_misses, 0u) << context;
+              EXPECT_EQ(again.solve_cache_misses, 0u) << context;
+              EXPECT_GT(again.solve_cache_hits, 0u) << context;
+              EXPECT_EQ(again.solver_rounds, cell.warm_rounds) << context;
             }
-            return cold;
-          });
-    }
+          }
+          return cold;
+        });
   }
+}
+
+/// Two identical phases joined by a sync flow: sixteen flows of sixteen
+/// sizes (eight of them into one hot endpoint), so each phase ends in
+/// staggered departure-only events. The second phase poses the first
+/// phase's first problem with other flow indices, so it hits the entry
+/// the first phase stored and, through its departures, resumes the log
+/// the first phase saved into it, restored under the new indices. Both
+/// phases then freeze the same bottleneck links, 18 in the first phase's
+/// fresh solve and 96 in either phase's resumes: a warm run of one phase
+/// costs the 96, and the two-phase run costs one cold phase plus that.
+/// (Solved afresh, the second phase's departures walk to their small
+/// components and freeze 64 links.) Every run matches the reference.
+TEST(Differential, SecondPhaseResumesTheFirstPhasesRestoredLog) {
+  const auto topo = make_topology("nestghc:64,2,2");
+  const auto add_phase = [](TrafficProgram& program) {
+    std::vector<FlowIndex> phase;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      const std::uint32_t dst = i < 8 ? 63 : (i * 5 + 3) % 60;
+      phase.push_back(program.add_flow(i, dst, 1e6 * (1 + i)));
+    }
+    return phase;
+  };
+  TrafficProgram one_phase;
+  (void)add_phase(one_phase);
+  TrafficProgram two_phases;
+  const std::vector<FlowIndex> first = add_phase(two_phases);
+  const FlowIndex sync = two_phases.add_barrier(first, {});
+  for (const FlowIndex f : add_phase(two_phases)) {
+    two_phases.add_dependency(sync, f);
+  }
+
+  const SimResult one = check_against_reference(
+      "one phase", {}, [&]<typename Engine>(const EngineOptions& options) {
+        Engine engine(*topo, options);
+        const SimResult cold = engine.run(one_phase);
+        if constexpr (std::is_same_v<Engine, FlowEngine>) {
+          EXPECT_EQ(cold.solver_rounds, 18u + 96u);
+          const SimResult warm = engine.run(one_phase);
+          EXPECT_EQ(verify::physical_difference(cold, warm), std::nullopt);
+          EXPECT_EQ(warm.solve_cache_hits, 1u);
+          EXPECT_EQ(warm.solver_rounds, 96u);
+        }
+        return cold;
+      });
+  check_against_reference(
+      "two phases", {}, [&]<typename Engine>(const EngineOptions& options) {
+        Engine engine(*topo, options);
+        const SimResult cold = engine.run(two_phases);
+        if constexpr (std::is_same_v<Engine, FlowEngine>) {
+          EXPECT_EQ(cold.events, 2 * one.events);
+          EXPECT_EQ(cold.solve_cache_misses, 1u);
+          EXPECT_EQ(cold.solve_cache_hits, 1u);
+          EXPECT_EQ(cold.solver_rounds, one.solver_rounds + 96u);
+          const SimResult warm = engine.run(two_phases);
+          EXPECT_EQ(verify::physical_difference(cold, warm), std::nullopt);
+          EXPECT_EQ(warm.solve_cache_hits, 2u);
+          EXPECT_EQ(warm.solver_rounds, 2u * 96u);
+        }
+        return cold;
+      });
 }
 
 /// Only an event with arrivals, detaches or capacity changes since the last

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -683,6 +684,40 @@ struct ResumeTally {
   std::uint64_t refrozen = 0;  // rates the resumes themselves rewrote
 };
 
+/// A solver over `inst` (all flows active) that solved it with its slot
+/// order shuffled, so that its log can be saved by slot position, and can
+/// take the same departure steps as the solver it was restored into.
+struct SavedSolve {
+  SolveInputs in;
+  std::vector<std::uint8_t> active;
+  DepartureContext ctx;
+  FairShareSolver<DepartureContext> solver;
+  std::vector<FlowIndex> slots;  // slot position -> flow
+  std::vector<double> rates;
+  std::uint64_t rounds = 0;
+
+  SavedSolve(const Instance& inst, Prng& prng)
+      : in(build_inputs(inst)),
+        active(inst.paths.size(), 1),
+        ctx{&in.ctx, &active},
+        slots(in.active),
+        rates(inst.paths.size(), 0.0) {
+    prng.shuffle(std::span<FlowIndex>(slots));
+    solver.resize(inst.capacities.size(), inst.paths.size());
+    rounds = solver.solve(ctx, in.used, in.weight_sums, slots, rates);
+  }
+  SavedSolve(const SavedSolve&) = delete;
+  SavedSolve& operator=(const SavedSolve&) = delete;
+
+  [[nodiscard]] SavedRoundLog save(std::size_t max_words) const {
+    std::vector<std::uint32_t> position_of(slots.size());
+    for (std::size_t p = 0; p < slots.size(); ++p) {
+      position_of[slots[p]] = static_cast<std::uint32_t>(p);
+    }
+    return solver.save_log(position_of, max_words);
+  }
+};
+
 /// Solves `inst` (unit weights), then takes up to `steps` departure steps,
 /// each resumed and compared with a from-scratch solve of the survivors.
 /// A step departs the fastest flows — equal-size flows finish fastest
@@ -693,16 +728,56 @@ struct ResumeTally {
 /// exactly once, and must leave every other entry untouched; the raw rates
 /// saved from earlier steps stand in for those, and together they must
 /// match the from-scratch solve bit for bit.
+///
+/// With `restored`, the steps run on the instance with its flows
+/// relabelled (the same paths under other indices), in a solver that never
+/// solved it: it starts from the log of a SavedSolve of `inst`, saved by
+/// slot position and restored under the new labels. The SavedSolve takes
+/// every step too, and each of its resumes must freeze the same number of
+/// bottleneck links and refreeze the same flows as the restored one's.
 void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
-                   ResumeTally& tally) {
-  const SolveInputs in = build_inputs(inst);
+                   ResumeTally& tally, bool restored = false) {
   const std::size_t num_flows = inst.paths.size();
+  Prng relabel_prng(seed, 0x2E57u);
+  std::unique_ptr<SavedSolve> saved;
+  // Flow g of the instance the steps run on has the path of flow
+  // original[g] of `inst`.
+  std::vector<FlowIndex> original(num_flows);
+  std::iota(original.begin(), original.end(), FlowIndex{0});
+  Instance run = inst;
+  if (restored) {
+    saved = std::make_unique<SavedSolve>(inst, relabel_prng);
+    relabel_prng.shuffle(std::span<FlowIndex>(original));
+    for (std::size_t g = 0; g < num_flows; ++g) {
+      run.paths[g] = inst.paths[original[g]];
+    }
+  }
+  std::vector<FlowIndex> label(num_flows);  // inverse of original
+  for (std::size_t g = 0; g < num_flows; ++g) {
+    label[original[g]] = static_cast<FlowIndex>(g);
+  }
+
+  const SolveInputs in = build_inputs(run);
   std::vector<std::uint8_t> active(num_flows, 1);
   const DepartureContext ctx{&in.ctx, &active};
   FairShareSolver<DepartureContext> solver;
   solver.resize(inst.capacities.size(), num_flows);
   std::vector<double> raw(num_flows, 0.0);
-  solver.solve(ctx, in.used, in.weight_sums, in.active, raw);
+  if (restored) {
+    const SavedRoundLog log =
+        saved->save(std::numeric_limits<std::size_t>::max());
+    ASSERT_FALSE(log.empty()) << "seed " << seed;
+    std::vector<FlowIndex> flow_at(num_flows);
+    for (std::size_t p = 0; p < num_flows; ++p) {
+      flow_at[p] = label[saved->slots[p]];
+    }
+    solver.restore_log(ctx, log, flow_at);
+    for (std::size_t f = 0; f < num_flows; ++f) {
+      raw[label[f]] = saved->rates[f];
+    }
+  } else {
+    solver.solve(ctx, in.used, in.weight_sums, in.active, raw);
+  }
 
   const double poison = -std::numeric_limits<double>::infinity();
   std::vector<double> rates(num_flows);
@@ -730,8 +805,30 @@ void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
     for (const FlowIndex f : departed) active[f] = 0;
     std::erase_if(live, [&active](FlowIndex f) { return !active[f]; });
     for (const FlowIndex f : live) rates[f] = poison;
-    solver.resume(ctx, departed, live.size(), rates);
+    const std::uint64_t rounds =
+        solver.resume(ctx, departed, live.size(), rates);
     ++tally.resumes;
+    if (saved != nullptr) {
+      std::vector<FlowIndex> twin_departed;
+      for (const FlowIndex f : departed) {
+        twin_departed.push_back(original[f]);
+        saved->active[original[f]] = 0;
+      }
+      EXPECT_EQ(saved->solver.resume(saved->ctx, twin_departed, live.size(),
+                                     saved->rates),
+                rounds)
+          << "seed " << seed << " step " << step;
+      std::vector<FlowIndex> want_refrozen;
+      for (const FlowIndex f : saved->solver.refrozen_flows()) {
+        want_refrozen.push_back(label[f]);
+      }
+      std::vector<FlowIndex> got_refrozen(solver.refrozen_flows().begin(),
+                                          solver.refrozen_flows().end());
+      std::sort(want_refrozen.begin(), want_refrozen.end());
+      std::sort(got_refrozen.begin(), got_refrozen.end());
+      EXPECT_EQ(got_refrozen, want_refrozen)
+          << "seed " << seed << " step " << step;
+    }
 
     std::fill(refrozen.begin(), refrozen.end(), 0);
     for (const FlowIndex f : solver.refrozen_flows()) {
@@ -751,7 +848,7 @@ void check_resumes(const Instance& inst, std::uint64_t seed, int steps,
 
     Instance rest;
     rest.capacities = inst.capacities;
-    for (const FlowIndex f : live) rest.paths.push_back(inst.paths[f]);
+    for (const FlowIndex f : live) rest.paths.push_back(run.paths[f]);
     if (rest.paths.empty()) break;
     rest.weights.assign(rest.paths.size(), 1.0);
     const std::vector<double> want = solve(rest);
@@ -805,6 +902,70 @@ TEST(MaxminResume, BroadcastSolveResumesFromItsOnlyRound) {
   ResumeTally tally;
   check_resumes(inst, 1, 6, tally);
   EXPECT_GE(tally.resumes, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Saved logs: a solve's round log saved by slot position and restored into
+// a solver over the same instance with its flows relabelled, then resumed
+// through departure steps — checked bit for bit against from-scratch solves
+// and step for step against the solver the log came from.
+
+TEST(MaxminResume, RestoredLogsResumeLikeTheirSolveBitwise) {
+  ResumeTally tally;
+  for (std::uint64_t seed = 7000; seed < 7300; ++seed) {
+    check_resumes(random_instance(seed, /*weighted=*/false), seed, 8, tally,
+                  /*restored=*/true);
+    check_resumes(with_unit_weights(tie_heavy_instance(seed)), seed, 8,
+                  tally, /*restored=*/true);
+    check_resumes(power_law_instance(seed), seed, 8, tally,
+                  /*restored=*/true);
+  }
+  EXPECT_GT(tally.resumes, 5000u);
+  EXPECT_GT(tally.refrozen, tally.rates / 100);
+  EXPECT_LT(tally.refrozen, tally.rates / 2);
+}
+
+TEST(MaxminResume, RestoredHeapFallbackLogsResumeBitwise) {
+  ResumeTally tally;
+  for (std::uint64_t seed = 8000; seed < 8006; ++seed) {
+    check_resumes(large_power_law_instance(seed), seed, 6, tally,
+                  /*restored=*/true);
+  }
+  check_resumes(with_unit_weights(staircase_instance(600)), 600, 6, tally,
+                /*restored=*/true);
+  EXPECT_GE(tally.resumes, 7u * 5u);
+}
+
+TEST(MaxminResume, RestoredBroadcastLogResumesFromItsOnlyRound) {
+  // The broadcast's log has one round and no writes; every link it names
+  // is a live record, and the restore marks each as batched by that round.
+  Instance inst;
+  inst.capacities.assign(64, 8.0);
+  for (LinkId l = 0; l < 64; ++l) {
+    inst.paths.push_back({l});
+    inst.paths.push_back({l});
+  }
+  inst.weights.assign(inst.paths.size(), 1.0);
+  Prng prng(1, 0x2E57u);
+  const SavedSolve saved(inst, prng);
+  const SavedRoundLog log = saved.save(std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(log.rounds.size(), 1u);
+  EXPECT_EQ(log.num_writes, 0u);
+  EXPECT_EQ(log.writes.size(), 64u);
+  ResumeTally tally;
+  check_resumes(inst, 1, 6, tally, /*restored=*/true);
+  EXPECT_GE(tally.resumes, 5u);
+}
+
+TEST(MaxminResume, LogOverTheWordLimitIsNotSaved) {
+  const Instance inst = power_law_instance(7001);
+  Prng prng(7001, 0x2E57u);
+  const SavedSolve saved(inst, prng);
+  const SavedRoundLog fits =
+      saved.save(std::numeric_limits<std::size_t>::max());
+  ASSERT_FALSE(fits.empty());
+  EXPECT_TRUE(saved.save(fits.words() - 1).empty());
+  EXPECT_FALSE(saved.save(fits.words()).empty());
 }
 
 }  // namespace
