@@ -21,7 +21,7 @@ int run(int argc, char** argv) {
   cli.add_option("pairs", "max routed pairs per analysis", "300000");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
   const auto nodes = cli.get_uint("nodes");
-  const auto pairs = cli.get_uint("pairs");
+  const auto pairs = cli.get_positive_uint("pairs");
 
   std::printf("== Extension: static routing analyses (N = %llu) ==\n\n",
               static_cast<unsigned long long>(nodes));

@@ -10,6 +10,7 @@
 #include "graph/validation.hpp"
 #include "topo/census.hpp"
 #include "topo/factory.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -44,9 +45,10 @@ std::unique_ptr<Topology> make_example(char which) {
   }
 }
 
-}  // namespace
-
-int main() {
+int run(int argc, char** argv) {
+  CliParser cli("fig2_topology_census",
+                "Figure 2: census of the four example topologies");
+  if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
   std::printf("== Figure 2: the four example topologies ==\n\n");
   for (const char which : {'a', 'b', 'c', 'd'}) {
     const auto topology = make_example(which);
@@ -62,4 +64,10 @@ int main() {
     if (!report.ok()) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("fig2_topology_census", run, argc, argv);
 }

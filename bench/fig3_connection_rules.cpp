@@ -7,10 +7,16 @@
 #include <cstdio>
 
 #include "topo/factory.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main() {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nestflow;
+  CliParser cli("fig3_connection_rules",
+                "Figure 3: uplink connection rules on a t = 4 subtorus");
+  if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
   std::printf("== Figure 3: uplink connection rules (t = 4 subtorus) ==\n\n");
   for (const std::uint32_t u : {1u, 2u, 4u, 8u}) {
     const auto topology = make_nested(512, 4, u, UpperTierKind::kFattree);
@@ -34,4 +40,10 @@ int main() {
     std::printf("\n\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nestflow::run_cli_main("fig3_connection_rules", run, argc, argv);
 }

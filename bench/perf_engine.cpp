@@ -71,7 +71,9 @@ constexpr double kMinSampleSeconds = 0.2;
 // 512 MiB of solve cache keeps a steady run's memoized solves resident; only
 // the whole-set solves of arrival events are memoized, so the N = 1024
 // mapreduce cell stores about 22 MB (2.7M words, almost all of it the
-// shuffle's one entry and the round log saved with it).
+// shuffle's one entry: its key, its rates and the round log saved with it).
+// Each entry allocates its arrays at their final size, so that is also what
+// the cache allocates for them.
 constexpr double kHopLatencySeconds = 1e-6;
 constexpr std::size_t kSolveCacheWords = (std::size_t{512} << 20) / 8;
 

@@ -4,7 +4,10 @@
 // Defaults to the paper's full scale (131,072 QFDBs) with sampled pairs;
 // --nodes scales down, --pairs controls sampling accuracy. Paper values are
 // printed alongside for direct comparison at full scale.
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "core/report.hpp"
 #include "util/cli.hpp"
@@ -40,10 +43,23 @@ int run(int argc, char** argv) {
 
   DistanceAnalysisConfig config;
   config.num_nodes = cli.get_uint("nodes");
-  config.sample_pairs = cli.get_uint("pairs");
+  config.sample_pairs = cli.get_positive_uint("pairs");
   config.seed = cli.get_uint("seed");
   config.threads = static_cast<std::uint32_t>(cli.get_uint("threads"));
 
+  // As in the figure drivers: a size that builds no hybrid point has no
+  // table to print.
+  const auto matrix = paper_topology_matrix();
+  if (std::none_of(matrix.begin(), matrix.end(), [&](const TopologyPoint& p) {
+        try {
+          return p.t != 0 && build_point(p, config.num_nodes) != nullptr;
+        } catch (const std::invalid_argument&) {
+          return false;
+        }
+      })) {
+    throw CliError("nodes", "cannot build any NestGHC or NestTree point at "
+                            "N = " + std::to_string(config.num_nodes));
+  }
   std::printf("== Table 1: average distance / diameter (N = %llu, %llu "
               "sampled pairs) ==\n\n",
               static_cast<unsigned long long>(config.num_nodes),

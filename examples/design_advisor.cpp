@@ -37,7 +37,7 @@ int run(int argc, char** argv) {
   cli.add_option("seed", "seed", "42");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
   const auto nodes = cli.get_uint("nodes");
-  const auto pairs = cli.get_uint("pairs");
+  const auto pairs = cli.get_positive_uint("pairs");
   const auto workload_name = cli.get_string("workload");
 
   struct Candidate {

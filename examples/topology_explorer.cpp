@@ -33,6 +33,7 @@ int run(int argc, char** argv) {
   cli.add_option("route", "print the route between 'src:dst'", "");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
+  const auto pairs = cli.get_positive_uint("pairs");
   const auto topology = make_topology(cli.get_string("spec"));
   // --route is checked before any work: "src:dst", each side a whole
   // endpoint id below num_endpoints().
@@ -77,8 +78,8 @@ int run(int argc, char** argv) {
     return topology->route_distance(s, d);
   };
   const auto distances = sampled_routed_report(
-      topology->num_endpoints(), route_len, cli.get_uint("pairs"),
-      cli.get_uint("seed"), topology->adversarial_pairs());
+      topology->num_endpoints(), route_len, pairs, cli.get_uint("seed"),
+      topology->adversarial_pairs());
   std::printf("distances   : average %.2f hops, diameter %u (%s)\n",
               distances.average, distances.diameter,
               distances.exact ? "exact" : "sampled");

@@ -15,8 +15,8 @@
 #   2. an --optimized-only pass at N=1024 under --max-rss-gb, checking every
 #      cold and steady run against the first and the memory budget the
 #      million-endpoint recipe relies on (default ceiling 0.6 GiB: the
-#      pass peaks near 0.37 GiB, 0.365 GiB with the round log the solve
-#      cache keeps for the mapreduce shuffle, and 0.86 GiB when the solve
+#      pass peaks near 0.37 GiB, 0.368 GiB since each solve-cache entry
+#      owns its key, rates and round log, and 0.86 GiB when the solve
 #      cache also memoized departure-only events, so that regression fails
 #      here).
 #   3. a dispatch-phase gate on the million-flow N=1024 mapreduce cell:

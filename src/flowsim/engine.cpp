@@ -153,13 +153,10 @@ void FlowEngine::drop_solve_cache() {
   // its links, so entries recorded under other capacities simply stop
   // matching — but fault sweeps that keep flipping factors would otherwise
   // accumulate unmatchable entries until the size cap bites.
-  solve_cache_map_.clear();
-  solve_cache_entries_.clear();
-  solve_key_arena_.clear();
-  solve_rates_arena_.clear();
-  solve_log_words_ = 0;
+  solve_cache_.clear();
+  solve_cache_words_ = 0;
   solve_insert_armed_ = false;
-  log_entry_ = kNoLogEntry;
+  log_entry_ = nullptr;
 }
 
 bool FlowEngine::activate(FlowIndex f, double now, SimResult& result) {
@@ -470,8 +467,8 @@ const double* FlowEngine::probe_solve_cache(SimResult& result) {
   }
 
   // A key larger than the entire cache budget can never have been stored
-  // (storing admits blobs only under the budget), so the probe is a
-  // guaranteed miss: skip materialising the blob — at million-endpoint
+  // (storing admits keys only under the budget), so the probe is a
+  // guaranteed miss: skip materialising the key — at million-endpoint
   // scale a whole-set key runs to hundreds of MB — and record the miss the
   // built-and-compared path would have recorded. The store stays disarmed,
   // exactly as the arming check below would have decided.
@@ -482,10 +479,10 @@ const double* FlowEngine::probe_solve_cache(SimResult& result) {
     return nullptr;
   }
 
-  // Content blob in used_links_ and slot order, deliberately NOT
+  // Content key in used_links_ and slot order, deliberately NOT
   // canonicalised: with uniform weights a flow's rate is a pure function of
   // (its extent, the problem's content multiset) — equal-extent flows are
-  // bit-exactly interchangeable in the solver — so position i of the blob
+  // bit-exactly interchangeable in the solver — so position i of the key
   // determines position i's rate no matter how the problem was enumerated.
   // Sorting would dedup permutations of one problem into one entry, but
   // costs an O(n log n) sort per event that profiling showed dominates the
@@ -515,43 +512,34 @@ const double* FlowEngine::probe_solve_cache(SimResult& result) {
   }
   solve_key_hash_ = hash;
 
-  // Guaranteed miss on a cold cache: skip the bucket walk entirely.
-  const auto it = solve_cache_entries_.empty() ? solve_cache_map_.end()
-                                               : solve_cache_map_.find(hash);
-  if (it != solve_cache_map_.end()) {
-    for (const std::size_t index : it->second) {
-      const SolveCacheEntry& entry = solve_cache_entries_[index];
-      if (entry.key_words == key_words &&
-          std::equal(solve_key_.begin(), solve_key_.end(),
-                     solve_key_arena_.begin() +
-                         static_cast<std::ptrdiff_t>(entry.key_offset))) {
-        ++result.solve_cache_hits;
-        log_entry_ = entry.log.empty() ? kNoLogEntry : index;
-        return solve_rates_arena_.data() + entry.rates_offset;
-      }
+  const auto [first, last] = solve_cache_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    SolveCacheEntry& entry = it->second;
+    if (entry.key == solve_key_) {
+      ++result.solve_cache_hits;
+      log_entry_ = entry.log.empty() ? nullptr : &entry;
+      return entry.rates.data();
     }
   }
   ++result.solve_cache_misses;
   solve_insert_armed_ =
-      solve_cache_words() + key_words + active_flows_.size() <=
+      solve_cache_words_ + key_words + active_flows_.size() <=
       options_.solve_cache_budget_words;
   return nullptr;
 }
 
 void FlowEngine::store_solve_cache() {
-  log_entry_ = kNoLogEntry;
+  log_entry_ = nullptr;
   if (!solve_insert_armed_) return;
   solve_insert_armed_ = false;
-  log_entry_ = solve_cache_entries_.size();
-  solve_cache_map_[solve_key_hash_].push_back(log_entry_);
-  solve_cache_entries_.push_back(SolveCacheEntry{
-      solve_key_arena_.size(), solve_key_.size(), solve_rates_arena_.size(),
-      {}});
-  solve_key_arena_.insert(solve_key_arena_.end(), solve_key_.begin(),
-                          solve_key_.end());
-  for (const FlowIndex f : active_flows_) {
-    solve_rates_arena_.push_back(rates_[f]);
-  }
+  // The key buffer may have grown for a larger probe that did not store;
+  // the budget counts what the entry allocates.
+  solve_key_.shrink_to_fit();
+  SolveCacheEntry entry{std::move(solve_key_), {}, {}};
+  entry.rates.reserve(active_flows_.size());
+  for (const FlowIndex f : active_flows_) entry.rates.push_back(rates_[f]);
+  solve_cache_words_ += entry.key.size() + entry.rates.size();
+  log_entry_ = &solve_cache_.emplace(solve_key_hash_, std::move(entry))->second;
 }
 
 // Out of line: it runs on a few events per run, and run_impl's loop is
@@ -572,13 +560,13 @@ void FlowEngine::store_solve_cache() {
     }
     active_flows_.push_back(back);
   }
-  SolveCacheEntry& entry = solve_cache_entries_[log_entry_];
-  if (entry.log.empty()) {
-    entry.log = solver_.save_log(
-        active_pos_, options_.solve_cache_budget_words - solve_cache_words());
-    solve_log_words_ += entry.log.words();
+  SavedRoundLog& log = log_entry_->log;
+  if (log.empty()) {
+    log = solver_.save_log(
+        active_pos_, options_.solve_cache_budget_words - solve_cache_words_);
+    solve_cache_words_ += log.words();
   } else {
-    solver_.restore_log(EngineContext{this}, entry.log, active_flows_);
+    solver_.restore_log(EngineContext{this}, log, active_flows_);
   }
   for (const FlowIndex f : departed_) {
     const std::uint32_t s = active_pos_[f];
@@ -887,7 +875,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   solve_cache_active_ =
       route_cache_active_ && !options_.adaptive_routing && unit_weights_;
   solve_log_valid_ = false;
-  log_entry_ = kNoLogEntry;
+  log_entry_ = nullptr;
   non_departure_change_ = false;
   departed_.clear();
   solve_insert_armed_ = false;
@@ -1093,8 +1081,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
     bool whole =
         solve_log_valid_ || 2 * dirty_links_.size() >= num_active_links_;
     bool cache_probed = false;  // the whole set was probed this event
-    if (!whole && memoize && whole_set_hint &&
-        !solve_cache_entries_.empty()) {
+    if (!whole && memoize && whole_set_hint && !solve_cache_.empty()) {
       // Probe-first: recent arrival events solved the whole active set, so
       // its key likely repeats (phase-structured workloads replay
       // bit-identical allocation problems). Looking it up costs one key
@@ -1140,7 +1127,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
           // resume froze anew can change rate. Right after a solve the
           // cache stored, the log is first saved into its entry; right
           // after a hit, the entry's log is first restored.
-          if (log_entry_ != kNoLogEntry) save_or_restore_log();
+          if (log_entry_ != nullptr) save_or_restore_log();
           result.solver_rounds +=
               solver_.resume(ctx, departed_, active_flows_.size(), rates_);
           solved = solver_.refrozen_flows();
@@ -1154,7 +1141,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
         store_solve_cache();
       }
       solve_log_valid_ =
-          unit_weights_ && (whole_hit == nullptr || log_entry_ != kNoLogEntry);
+          unit_weights_ && (whole_hit == nullptr || log_entry_ != nullptr);
     } else {
       // Per-component ranges, solved afresh: the solve cache holds only
       // whole-set solves.

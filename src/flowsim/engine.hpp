@@ -107,16 +107,17 @@ struct EngineOptions {
   /// short-path topologies (the torus on wavefront traffic) beat
   /// longer-path ones when messages are small. 0 = pure bandwidth model.
   double hop_latency_seconds = 0.0;
-  /// Word budget for the solve cache's content, rate and round-log arenas
-  /// (8 bytes per word): insertion stops once storing another entry would
-  /// exceed it, and an entry whose round log would not fit keeps none, so
-  /// this bounds the cache's memory, not its lifetime. The default (8M
-  /// words = 64 MiB) holds the N = 1024 mapreduce shuffle's one giant
-  /// arrival entry (~2.1M words of key and rates, ~0.6M of round log); a
-  /// caller that replays bigger programs on a persistent engine should
-  /// raise it so their memoized solves stay resident across run() calls.
-  /// bench/perf_engine's kSolveCacheWords and perfbench's warm-replay pass
-  /// 64M words (512 MiB).
+  /// Word budget for the solve cache's keys, rates and round logs (8 bytes
+  /// per word): insertion stops once storing another entry would exceed
+  /// it, and an entry whose round log would not fit keeps none. Each entry
+  /// allocates its arrays at their final size, so this bounds the memory
+  /// the cache allocates (plus a fixed header per entry), not its
+  /// lifetime. The default (8M words = 64 MiB) holds the N = 1024
+  /// mapreduce shuffle's one giant arrival entry (~2.1M words of key and
+  /// rates, ~0.6M of round log); a caller that replays bigger programs on
+  /// a persistent engine should raise it so their memoized solves stay
+  /// resident across run() calls. bench/perf_engine's kSolveCacheWords and
+  /// perfbench's warm-replay pass 64M words (512 MiB).
   std::size_t solve_cache_budget_words = 8u << 20;
   /// Measure the wall time of every event-loop phase into SimResult's
   /// timer fields (route_seconds, solve_seconds, dispatch_seconds and its
@@ -385,9 +386,9 @@ class FlowEngine {
   /// not owned by the route cache): that problem is not memoizable, and
   /// the probe returns nullptr unarmed.
   [[nodiscard]] const double* probe_solve_cache(SimResult& result);
-  /// Stores the last probed key with the just-solved rates of
-  /// active_flows_ (the probed flows, in slot order) when that probe armed
-  /// it, and points log_entry_ at the new entry; otherwise clears
+  /// Moves the last probed key into a new entry with the just-solved rates
+  /// of active_flows_ (the probed flows, in slot order) when that probe
+  /// armed it, and points log_entry_ at the entry; otherwise clears
   /// log_entry_.
   void store_solve_cache();
   /// Run by a departure-only event that resumes while log_entry_ is set:
@@ -398,11 +399,6 @@ class FlowEngine {
   /// which this event's departures permuted: their swap-removals are
   /// undone, newest first, for the copy and redone after it.
   void save_or_restore_log();
-  /// Words the solve cache holds: keys, rates and saved round logs.
-  [[nodiscard]] std::size_t solve_cache_words() const noexcept {
-    return solve_key_arena_.size() + solve_rates_arena_.size() +
-           solve_log_words_;
-  }
   /// Empties the solve cache (capacity edits would leave dead entries —
   /// they can never match again, since capacity bits are part of the key).
   void drop_solve_cache();
@@ -538,10 +534,10 @@ class FlowEngine {
   // cache holds whole-set solves only: the content — (link, capacity,
   // weight-sum) triples in used_links_ order plus flow (offset, length)
   // extents in slot order (exact without canonicalisation: see
-  // probe_solve_cache) — is stored verbatim in solve_key_arena_ and
-  // verified word-for-word on lookup; the hash only picks the bucket, so a
+  // probe_solve_cache) — is kept verbatim as the entry's key and verified
+  // word-for-word on lookup; the hash only picks the bucket, so a
   // collision can never replay wrong rates. Rates are stored positionally
-  // (blob position i = slot i).
+  // (position i = slot i).
   // Engaged only when the route cache is active (its shared path extents
   // give flows a stable identity), adaptive routing is off (the one-shot
   // figure runs, where it costs more than it saves) and every flow weight
@@ -554,34 +550,31 @@ class FlowEngine {
   // rates, and the page faults of a cache that grows with them (DESIGN.md
   // §6). Persists across run() calls; insertion stops at
   // EngineOptions::solve_cache_budget_words.
-  /// Offsets and lengths in words, as wide as the arenas they index: the
-  /// budget is a size_t, so an arena may pass 2^32 words. An entry also
-  /// keeps the round log of the solve it memoizes, flows named by slot
-  /// position, when the event right after that solve departed only (the
-  /// one kind of event that resumes a log): a later hit of the entry is
-  /// then followed by the same kind of event in a replay, which restores
-  /// the log and resumes instead of solving afresh (DESIGN.md §11). The
-  /// log counts against the same budget; one that does not fit is not
-  /// kept.
+  /// One memoized whole-set solve, owning its arrays, each allocated at its
+  /// final size. Besides its key and rates, an entry keeps the round log of
+  /// the solve it memoizes, flows named by slot position, when the event
+  /// right after that solve departed only (the one kind of event that
+  /// resumes a log): a later hit of the entry is then followed by the same
+  /// kind of event in a replay, which restores the log and resumes instead
+  /// of solving afresh (DESIGN.md §11). The log counts against the same
+  /// budget; one that does not fit is not kept.
   struct SolveCacheEntry {
-    std::size_t key_offset;
-    std::size_t key_words;
-    std::size_t rates_offset;
+    std::vector<std::uint64_t> key;
+    std::vector<double> rates;
     SavedRoundLog log;  // empty until saved
   };
-  static constexpr std::size_t kNoLogEntry = ~std::size_t{0};
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-      solve_cache_map_;
-  std::vector<SolveCacheEntry> solve_cache_entries_;
-  std::vector<std::uint64_t> solve_key_arena_;
-  std::vector<double> solve_rates_arena_;
-  std::size_t solve_log_words_ = 0;  // summed over the entries' logs
+  /// Entries by key hash. Its nodes never move, so log_entry_ can point
+  /// into it.
+  std::unordered_multimap<std::uint64_t, SolveCacheEntry> solve_cache_;
+  /// Words the entries hold (keys, rates and logs), against the budget.
+  std::size_t solve_cache_words_ = 0;
   /// While solve_log_valid_: the entry the last whole-set solve stored (its
-  /// log not yet saved) or hit (its log not yet restored), else
-  /// kNoLogEntry. Read by the next event that resumes
-  /// (save_or_restore_log); every whole-set event rewrites it.
-  std::size_t log_entry_ = kNoLogEntry;
-  std::vector<std::uint64_t> solve_key_;  // current solve's content blob
+  /// log not yet saved) or hit (its log not yet restored), else null. Read
+  /// by the next event that resumes (save_or_restore_log); every whole-set
+  /// event rewrites it.
+  SolveCacheEntry* log_entry_ = nullptr;
+  /// The current solve's key; a store moves it into the new entry.
+  std::vector<std::uint64_t> solve_key_;
   bool solve_cache_active_ = false;  // resolved per run()
   bool solve_insert_armed_ = false;  // miss was cacheable; store after solve
   std::uint64_t solve_key_hash_ = 0;
@@ -684,8 +677,8 @@ class FlowEngine {
   /// solved span's order there, and an unchanged rate compares equal before
   /// any slot state is touched. Returns the min predicted finish.
   /// When `slot_rates` is non-null it is this event's solved raw rates in
-  /// slot order (a whole-set solve-cache hit's memo blob) and the sweep
-  /// streams it instead of gathering rates_[f].
+  /// slot order (the hit entry's rates on a whole-set solve-cache hit) and
+  /// the sweep streams it instead of gathering rates_[f].
   [[nodiscard]] double advance_flows_whole(double now,
                                            std::vector<FlowIndex>& zero_out,
                                            const double* slot_rates);

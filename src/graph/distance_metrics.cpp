@@ -192,16 +192,4 @@ DistanceReport auto_distance_report(const Graph& graph, std::uint64_t seed) {
   return sampled_distance_report(graph, kAutoSampleSources, seed);
 }
 
-DistanceReport auto_routed_report(
-    std::uint32_t num_endpoints, const RouteLengthFn& route_len,
-    std::uint64_t seed,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-        adversarial_pairs) {
-  if (num_endpoints <= kAutoExactEndpointLimit) {
-    return exact_routed_report(num_endpoints, route_len);
-  }
-  return sampled_routed_report(num_endpoints, route_len, kAutoSamplePairs,
-                               seed, adversarial_pairs);
-}
-
 }  // namespace nestflow

@@ -61,23 +61,14 @@ using RouteLengthFn =
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
         adversarial_pairs = {});
 
-/// Above this endpoint count the auto_* dispatchers switch from exact
+/// Above this endpoint count auto_distance_report switches from exact
 /// all-pairs to seeded sampling, so O(E^2) work is never required at scale.
 inline constexpr std::uint32_t kAutoExactEndpointLimit = 4096;
-/// Sample sizes the auto_* dispatchers use past the limit: BFS sources for
-/// topological metrics, ordered pairs for routed metrics.
+/// BFS sources auto_distance_report samples past the limit.
 inline constexpr std::uint32_t kAutoSampleSources = 64;
-inline constexpr std::uint64_t kAutoSamplePairs = 1ull << 16;
 
 /// Exact below kAutoExactEndpointLimit endpoints, seeded sampling above.
 [[nodiscard]] DistanceReport auto_distance_report(const Graph& graph,
                                                   std::uint64_t seed);
-
-/// Routed counterpart of auto_distance_report (same threshold).
-[[nodiscard]] DistanceReport auto_routed_report(
-    std::uint32_t num_endpoints, const RouteLengthFn& route_len,
-    std::uint64_t seed,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-        adversarial_pairs = {});
 
 }  // namespace nestflow

@@ -6,10 +6,6 @@
 
 namespace nestflow {
 
-std::string_view to_string(UpperTierKind k) noexcept {
-  return k == UpperTierKind::kFattree ? "fattree" : "ghc";
-}
-
 void NestedConfig::validate() const {
   if (t < 2) {
     throw std::invalid_argument("NestedConfig: t must be >= 2");

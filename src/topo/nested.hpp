@@ -38,8 +38,6 @@ namespace nestflow {
 
 enum class UpperTierKind : std::uint8_t { kFattree, kGhc };
 
-[[nodiscard]] std::string_view to_string(UpperTierKind k) noexcept;
-
 struct NestedConfig {
   /// Global grid of QFDBs; every dimension must be a positive multiple of t.
   std::array<std::uint32_t, 3> global_dims{};

@@ -1,20 +1,8 @@
 #include "topo/throughput.hpp"
 
-#include <sstream>
-
 #include "util/prng.hpp"
 
 namespace nestflow {
-
-std::string ThroughputBound::to_string() const {
-  std::ostringstream out;
-  out << "uniform saturation throughput " << normalized
-      << " of NIC rate; bottleneck link " << bottleneck << " ("
-      << std::string(nestflow::to_string(bottleneck_class))
-      << "), mean path " << mean_path_length << " hops"
-      << (exhaustive ? "" : " (sampled)");
-  return out.str();
-}
 
 ThroughputBound uniform_throughput_bound(const Topology& topology,
                                          std::uint64_t max_pairs,

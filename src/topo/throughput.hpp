@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "topo/topology.hpp"
 
@@ -27,7 +26,6 @@ struct ThroughputBound {
   /// Expected hops per flow under uniform traffic (same sample).
   double mean_path_length = 0.0;
   bool exhaustive = false;
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Estimates p_l by routing all ordered pairs (when their count is at most

@@ -170,6 +170,12 @@ double CliParser::get_double(std::string_view name) const {
   return value;
 }
 
+std::uint64_t CliParser::get_positive_uint(std::string_view name) const {
+  const std::uint64_t value = get_uint(name);
+  if (value == 0) throw CliError(name, "must be at least 1, got '0'");
+  return value;
+}
+
 double CliParser::get_non_negative_double(std::string_view name) const {
   const double value = get_double(name);
   if (value < 0.0) {

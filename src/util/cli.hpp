@@ -72,6 +72,9 @@ class CliParser {
   /// nan, inf and -inf: no flag means anything by a non-finite value.
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] std::uint64_t get_uint(std::string_view name) const;
+  /// get_uint that also rejects 0 (a sample count, where 0 would report
+  /// an empty sample as a result).
+  [[nodiscard]] std::uint64_t get_positive_uint(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
   /// get_double that also rejects a negative value (a quantum, a latency).
   [[nodiscard]] double get_non_negative_double(std::string_view name) const;

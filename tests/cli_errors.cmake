@@ -9,6 +9,8 @@
 #   cmake -DFIG4=<fig4_heavy> -DTABLE1=<table1_distances>
 #         -DPERF=<perf_engine> -DSWEEP=<workload_sweep>
 #         -DTRACE=<trace_replay> -DEXPLORER=<topology_explorer>
+#         -DANALYSIS=<ext_analysis> -DADVISOR=<design_advisor>
+#         -DFIG2=<fig2_topology_census> -DFIG3=<fig3_connection_rules>
 #         -P tests/cli_errors.cmake
 #
 # The perf_engine calls also ask for a small cell and no output file, and
@@ -16,7 +18,7 @@
 # the malformed token fails this test in seconds instead of benchmarking.
 cmake_minimum_required(VERSION 3.20)
 
-foreach(var FIG4 TABLE1 PERF SWEEP TRACE EXPLORER)
+foreach(var FIG4 TABLE1 PERF SWEEP TRACE EXPLORER ANALYSIS ADVISOR FIG2 FIG3)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_errors: -D${var}=... is required")
   endif()
@@ -57,6 +59,22 @@ expect_rejected("bogus" "${PERF}" --points bogus ${quick})
 # --nodes 3 only the Fattree point of the figure matrix can be built.
 expect_rejected("--points" "${PERF}" --points nestghc-t3-u4 ${quick})
 expect_rejected("--nodes" "${FIG4}" --nodes 3 --workloads reduce --threads 1)
+# table1_distances builds no NestGHC or NestTree point at these sizes, and
+# printed a table of dashes.
+foreach(nodes 0 3)
+  expect_rejected("--nodes" "${TABLE1}" --nodes ${nodes} --threads 1)
+endforeach()
+# --pairs 0 sampled nothing and printed the empty sample as a result: every
+# channel dependency graph acyclic, throughput 0.000, average distance 0.00.
+expect_rejected("--pairs" "${ANALYSIS}" --nodes 64 --pairs 0)
+expect_rejected("--pairs" "${ADVISOR}" --nodes 64 --pairs 0)
+expect_rejected("--pairs" "${TABLE1}" --nodes 256 --pairs 0 --threads 1)
+expect_rejected("--pairs" "${EXPLORER}" --spec torus:4x4 --pairs 0)
+# The Figure 2 and 3 drivers take no options, and ignored any argument.
+foreach(binary "${FIG2}" "${FIG3}")
+  expect_rejected("--bogus" "${binary}" --bogus)
+  expect_rejected("bogus" "${binary}" bogus)
+endforeach()
 # An --out that cannot be written fails before any cell is timed, so no gate
 # passes without its record.
 expect_rejected("--out" "${PERF}" --nodes 64 --points fattree

@@ -167,6 +167,19 @@ TEST(Cli, UnsignedRejectsNegativesInsteadOfWrapping) {
   EXPECT_EQ(cli.get_uint("nodes"), 42u);
 }
 
+TEST(Cli, PositiveUnsignedRejectsZero) {
+  for (const char* bad : {"0", "-1", "3x"}) {
+    const CliError err = expect_cli_error(
+        "nodes", bad,
+        [](const CliParser& c) { (void)c.get_positive_uint("nodes"); });
+    EXPECT_EQ(err.flag(), "nodes");
+  }
+  auto cli = make_parser();
+  const char* argv[] = {"prog", "--nodes=1"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(cli.get_positive_uint("nodes"), 1u);
+}
+
 TEST(Cli, MalformedDoubleNamesTheFlag) {
   // from_chars parses nan and inf; a quantum, a latency or a gate threshold
   // of either would silently switch behaviour off or poison the run.
