@@ -110,11 +110,6 @@ class AuditView {
   [[nodiscard]] double link_base_capacity(LinkId l) const noexcept {
     return engine_->link_base_capacity_[l];
   }
-  /// Active flows the engine charges against l (may contain stale entries;
-  /// filter by flow_state).
-  [[nodiscard]] std::span<const FlowIndex> link_flows(LinkId l) const {
-    return engine_->incidence_.flows(l);
-  }
 
  private:
   const FlowEngine* engine_;

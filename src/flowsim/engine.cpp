@@ -264,19 +264,19 @@ bool FlowEngine::activate(FlowIndex f, double now, SimResult& result) {
   slot_rate_.back() = -1.0;
   slot.settle_time = now;
 
-  // Prefetch front-pass: the charge loop below touches four per-link
+  // The incidence lists learn of f only when one is next read (link_flows).
+  unlinked_.push_back(f);
+  // Prefetch front-pass: the charge loop below touches three per-link
   // structures at random link ids. At figure scale they sit in cache, but
   // at 2^20 endpoints each is tens of MB and every first touch is a DRAM
   // miss — starting all of them before any is consumed lets the misses
   // overlap instead of serialising per link.
   for (const LinkId l : path_view(f)) {
-    incidence_.prefetch(l);
     __builtin_prefetch(&link_weight_sum_[l], 1);
     __builtin_prefetch(&link_active_count_[l], 1);
     __builtin_prefetch(&link_dirty_[l], 1);
   }
   for (const LinkId l : path_view(f)) {
-    incidence_.add(l, f);
     link_weight_sum_[l] += spec.weight;
     mark_dirty(l);
     if (link_active_count_[l]++ == 0) {
@@ -301,6 +301,8 @@ void FlowEngine::complete(FlowIndex f, double now,
   const FlowSpec& spec = program_->flows()[f];  // unchecked: f is active
   const double bytes = spec.bytes;
   const double weight = spec.weight;
+  // f's incidence entries, if it was ever linked, just go stale: the lists
+  // count them as their size minus link_active_count_ (LinkFlowIncidence).
   for (const LinkId l : path_view(f)) {
     link_bytes_[l] += bytes;
     if (--link_active_count_[l] == 0) --num_active_links_;
@@ -308,8 +310,6 @@ void FlowEngine::complete(FlowIndex f, double now,
     link_weight_sum_[l] =
         link_active_count_[l] == 0 ? 0.0 : link_weight_sum_[l] - weight;
     mark_dirty(l);
-    incidence_.note_stale(l);
-    if (incidence_.should_compact(l)) compact_link(l);
   }
   recycle_path(f);
 
@@ -342,17 +342,22 @@ void FlowEngine::detach_from_network(FlowIndex f) {
   // against the path that finally delivers it (see complete()).
   solve_log_valid_ = false;  // f may come back on another path
   non_departure_change_ = true;
+  // Eager removal, not a stale entry: a detached flow may re-activate on a
+  // DIFFERENT path (reroute, restart retry), and the lists' staleness
+  // filter — "is the flow active?" — would then wrongly freeze it at shares
+  // of links it no longer crosses (found by the chaos harness's max-min
+  // optimality oracle, see src/verify/). So detach is a reader: it first
+  // links every flow activated since the last read, f included if it is
+  // one, and then drops f from each list of its path. Linking first also
+  // keeps f out of unlinked_, where a re-activation would otherwise list it
+  // twice.
+  if (!unlinked_.empty()) link_unlinked();
   const double weight = program_->flow(f).weight;
   for (const LinkId l : path_view(f)) {
     if (--link_active_count_[l] == 0) --num_active_links_;
     link_weight_sum_[l] =
         link_active_count_[l] == 0 ? 0.0 : link_weight_sum_[l] - weight;
     mark_dirty(l);
-    // Eager removal, not note_stale: a detached flow may re-activate on a
-    // DIFFERENT path (reroute, restart retry), and the solver's staleness
-    // filter — "is the flow active?" — would then wrongly freeze it at
-    // shares of links it no longer crosses (found by the chaos harness's
-    // max-min optimality oracle, see src/verify/).
     incidence_.remove(l, f);
   }
   recycle_path(f);
@@ -361,6 +366,16 @@ void FlowEngine::detach_from_network(FlowIndex f) {
 void FlowEngine::strand_active(FlowIndex f, SimResult& result) {
   detach_from_network(f);
   strand(f, result);
+}
+
+void FlowEngine::link_unlinked() {
+  // Activation order, so each list keeps its flows in the order of their
+  // most recent activation, exactly as appending at activation would; flows
+  // that finished unread are skipped.
+  incidence_.link(
+      unlinked_, link_active_count_,
+      [this](FlowIndex f) { return path_view(f); }, FlowActive{this});
+  unlinked_.clear();
 }
 
 void FlowEngine::recycle_path(FlowIndex f) {
@@ -405,7 +420,7 @@ bool FlowEngine::collect_dirty_components_partitioned() {
     affected_links_.push_back(seed);
     for (std::size_t scan = link_begin; scan < affected_links_.size();
          ++scan) {
-      for (const FlowIndex g : incidence_.flows(affected_links_[scan])) {
+      for (const FlowIndex g : link_flows(affected_links_[scan])) {
         if (state_[g] != FlowState::kActive || flow_in_component_[g]) continue;
         flow_in_component_[g] = 1;
         affected_flows_.push_back(g);
@@ -596,11 +611,6 @@ void FlowEngine::cancel_descendants(FlowIndex f, SimResult& result) {
       cancel_stack_.push_back(child);
     }
   }
-}
-
-void FlowEngine::compact_link(LinkId l) {
-  incidence_.compact(
-      l, [this](FlowIndex f) { return state_[f] == FlowState::kActive; });
 }
 
 void FlowEngine::apply_due_fault_events(FaultDriver& driver, double now,
@@ -866,9 +876,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   // neither, so memoized rates could differ from a fresh solve and a
   // warm-started solve could not rebuild link weights exactly. Both sit
   // out weighted runs to keep the bit-identity contract.
-  unit_weights_ = std::all_of(
-      program.flows().begin(), program.flows().end(),
-      [](const FlowSpec& spec) { return spec.weight == 1.0; });
+  unit_weights_ = program.unit_weights();
   // Under adaptive routing the route cache can still run (topologies whose
   // adaptive route ignores loads), but the solve cache stays off: it costs
   // a one-shot run more than it saves (DESIGN.md §6).
@@ -901,6 +909,7 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
   num_active_links_ = 0;
   std::fill(link_weight_sum_.begin(), link_weight_sum_.end(), 0.0);
   incidence_.reset(link_capacity_.size());
+  unlinked_.clear();
   std::fill(link_in_used_.begin(), link_in_used_.end(), 0);
   solver_.resize(link_capacity_.size(), n);
   flow_finish_times_scratch_.clear();
@@ -1344,7 +1353,6 @@ SimResult FlowEngine::run_impl(const TrafficProgram& program,
           __builtin_prefetch(&link_weight_sum_[l], 1);
           __builtin_prefetch(&link_active_count_[l], 1);
           __builtin_prefetch(&link_bytes_[l], 1);
-          incidence_.prefetch(l);
         }
       }
       // Every harvested flow is a distinct active slot's, and completing

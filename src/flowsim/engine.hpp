@@ -294,14 +294,16 @@ class FlowEngine {
   /// flow_path is forced inline: it is one load of each of three per-flow
   /// arrays, and in an LTO build run_impl, which resume() is inlined into,
   /// had outgrown the inliner's budget, so resume's loops over the departed
-  /// flows' paths called an out-of-line copy once per flow.
+  /// flows' paths called an out-of-line copy once per flow. The engine is
+  /// mutable because link_flows reads through FlowEngine::link_flows, which
+  /// links the flows activated since the last read.
   struct EngineContext {
-    const FlowEngine* engine;
+    FlowEngine* engine;
     [[nodiscard]] double capacity(LinkId l) const {
       return engine->link_capacity_[l];
     }
     [[nodiscard]] std::span<const FlowIndex> link_flows(LinkId l) const {
-      return engine->incidence_.flows(l);
+      return engine->link_flows(l);
     }
     [[nodiscard]] bool flow_active(FlowIndex f) const {
       return engine->state_[f] == FlowState::kActive;
@@ -350,7 +352,22 @@ class FlowEngine {
     const auto& arena = path_shared_[f] ? shared_arena_ : path_arena_;
     return {arena.data() + path_offset_[f], path_length_[f]};
   }
-  void compact_link(LinkId l);
+  /// The incidence lists' activity predicate.
+  struct FlowActive {
+    const FlowEngine* engine;
+    [[nodiscard]] bool operator()(FlowIndex f) const {
+      return engine->state_[f] == FlowState::kActive;
+    }
+  };
+  /// l's incidence list as the walk and a solver freeze pass read it: every
+  /// active flow crossing l linked, in activation order, and the list
+  /// compacted first when more than half of it is stale.
+  [[nodiscard]] std::span<const FlowIndex> link_flows(LinkId l) {
+    if (!unlinked_.empty()) link_unlinked();
+    return incidence_.read(l, link_active_count_[l], FlowActive{this});
+  }
+  /// Links every still-active flow of unlinked_ in one batch and empties it.
+  void link_unlinked();
   /// Returns f's path extent to the free list unless the route cache owns it.
   void recycle_path(FlowIndex f);
   /// Marks a link's occupancy as changed since the last solve.
@@ -596,7 +613,11 @@ class FlowEngine {
   // Per-link state (sized once per topology).
   std::vector<double> link_capacity_;        // effective (after degradation)
   std::vector<double> link_base_capacity_;
-  LinkFlowIncidence incidence_;  // link→flow lists, flat arena, lazy removal
+  LinkFlowIncidence incidence_;  // link→flow lists, linked on read
+  /// Flows activated since the lists were last read, in activation order:
+  /// link_unlinked() links the ones still active before link_flows() or
+  /// detach_from_network() reads a list.
+  std::vector<FlowIndex> unlinked_;
   std::vector<std::uint32_t> link_active_count_;
   std::vector<double> link_weight_sum_;  // weighted occupancy for the solver
   std::vector<LinkId> used_links_;  // links with active flows (lazily pruned)

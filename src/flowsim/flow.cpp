@@ -1,5 +1,6 @@
 #include "flowsim/flow.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@ FlowIndex TrafficProgram::add_flow(std::uint32_t src, std::uint32_t dst,
     throw std::invalid_argument("TrafficProgram: bad release time");
   }
   has_release_times_ |= release_seconds > 0.0;
+  max_endpoint_ = std::max({max_endpoint_, src, dst});
   flows_.push_back(FlowSpec{src, dst, bytes, release_seconds, 1.0, false});
   return static_cast<FlowIndex>(flows_.size() - 1);
 }
@@ -28,7 +30,10 @@ void TrafficProgram::set_flow_weight(FlowIndex f, double weight) {
   if (!(weight > 0.0) || !std::isfinite(weight)) {
     throw std::invalid_argument("TrafficProgram: weight must be positive");
   }
-  flows_.at(f).weight = weight;
+  double& current = flows_.at(f).weight;
+  non_unit_weights_ -= current != 1.0;
+  non_unit_weights_ += weight != 1.0;
+  current = weight;
 }
 
 void TrafficProgram::add_dependency(FlowIndex before, FlowIndex after) {
@@ -63,6 +68,7 @@ std::uint32_t TrafficProgram::num_data_flows() const noexcept {
 }
 
 void TrafficProgram::validate(std::uint32_t num_endpoints) const {
+  if (max_endpoint_ < num_endpoints) return;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const auto& f = flows_[i];
     if (f.is_sync) continue;

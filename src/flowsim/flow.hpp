@@ -60,6 +60,10 @@ class TrafficProgram {
 
   /// Sets a flow's bandwidth-scheduling weight (> 0, finite).
   void set_flow_weight(FlowIndex f, double weight);
+  /// True when every flow's weight is 1 (a running count, O(1)).
+  [[nodiscard]] bool unit_weights() const noexcept {
+    return non_unit_weights_ == 0;
+  }
 
   /// `after` may not start until `before` has finished.
   void add_dependency(FlowIndex before, FlowIndex after);
@@ -85,9 +89,11 @@ class TrafficProgram {
   [[nodiscard]] double total_bytes() const noexcept;
   [[nodiscard]] std::uint32_t num_data_flows() const noexcept;
 
-  /// Throws std::invalid_argument if any flow references an endpoint
-  /// >= num_endpoints. Checks endpoints only: the DependencyDag built from
-  /// this program checks every dependency edge (missing flows, cycles).
+  /// Throws std::invalid_argument naming the first flow that references an
+  /// endpoint >= num_endpoints. O(1) when every endpoint is in range (the
+  /// largest one is kept as flows are added); only a failing check scans.
+  /// Checks endpoints only: the DependencyDag built from this program
+  /// checks every dependency edge (missing flows, cycles).
   void validate(std::uint32_t num_endpoints) const;
 
   void reserve(std::size_t flows, std::size_t deps);
@@ -96,6 +102,8 @@ class TrafficProgram {
   std::vector<FlowSpec> flows_;
   std::vector<std::pair<FlowIndex, FlowIndex>> deps_;
   bool has_release_times_ = false;
+  std::uint32_t max_endpoint_ = 0;  // largest data-flow src or dst
+  std::size_t non_unit_weights_ = 0;  // flows whose weight is not 1
 };
 
 }  // namespace nestflow

@@ -203,6 +203,26 @@ TEST(Differential, BitIdenticalWithWeightedFlows) {
   }
 }
 
+/// FlowEngine reads the program's running count of weights other than 1:
+/// once every weight is set back to 1 the program is a unit-weight one
+/// again, and the solve cache engages.
+TEST(Differential, WeightsSetBackToOneReengageTheSolveCache) {
+  for (const std::string family : {"nestghc:64,2,2", "fattree:4,4"}) {
+    const auto topo = make_topology(family);
+    TrafficProgram program = generate(*topo, "unstructured-app");
+    for (FlowIndex f = 0; f < program.num_flows(); f += 3) {
+      program.set_flow_weight(f, 4.0);
+    }
+    for (FlowIndex f = 0; f < program.num_flows(); f += 3) {
+      program.set_flow_weight(f, 1.0);
+    }
+    const SimResult result =
+        check_static(*topo, program, family + " reweighted unstructured-app");
+    EXPECT_GT(result.solve_cache_hits + result.solve_cache_misses, 0u)
+        << family;
+  }
+}
+
 /// Fault and repair events interleaved with completions: mid-run capacity
 /// edits on the dirty tracking, and every recovery policy's enumeration
 /// order.
@@ -254,6 +274,51 @@ TEST(Differential, TimelineRunsBitIdenticalToReference) {
             return engine.run(program, driver);
           });
       EXPECT_GT(result.fault_events_applied, 0u) << family << pc.name;
+    }
+  }
+}
+
+/// A detach under kRestartBackoff can be the first reader of the incidence
+/// lists. On static dead links a warm run hits the cold run's whole-set
+/// entries, whose rates hold the dead links' zeros, so its zero-rate
+/// recovery detaches flows that no walk or solve has linked yet, the
+/// detached flow among them: the detach links them first, or the retried
+/// flow would be queued twice and linked at its first activation's place
+/// as well as its new one. Every run, cold or warm, must match the
+/// ReferenceEngine. (With unit weights a misplaced or duplicated entry
+/// changes no rate, so this pins that the path runs bit-identically;
+/// Incidence.FlowQueuedTwiceIsRejected pins what a twice-queued flow does
+/// to a batch.)
+TEST(Differential, RestartDetachesOnWarmRunsLinkFirst) {
+  for (const std::string family : {"nestghc:64,2,2", "fattree:4,4"}) {
+    const auto topo = make_topology(family);
+    const FaultModel faults =
+        FaultModel::random_cable_faults(topo->graph(), 0.05, 7);
+    for (const std::string spec : {"unstructured-app", "sweep3d"}) {
+      const TrafficProgram program = generate(*topo, spec);
+      const std::string context = family + " x " + spec;
+      EngineOptions options;
+      options.recovery_policy = RecoveryPolicy::kRestartBackoff;
+      options.retry_backoff_seconds = 1e-4;
+      options.max_retries = 2;
+      check_against_reference(
+          context, options,
+          [&]<typename Engine>(const EngineOptions& engine_options) {
+            Engine engine(*topo, engine_options);
+            faults.apply(engine);
+            const SimResult cold = engine.run(program);
+            if constexpr (std::is_same_v<Engine, FlowEngine>) {
+              EXPECT_GT(cold.flow_retries, 0u) << context;
+              for (int warm = 0; warm < 2; ++warm) {
+                const SimResult again = engine.run(program);
+                EXPECT_EQ(verify::physical_difference(cold, again),
+                          std::nullopt)
+                    << context << " (warm)";
+                EXPECT_GT(again.solve_cache_hits, 0u) << context;
+              }
+            }
+            return cold;
+          });
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace nestflow {
 namespace {
 
@@ -63,6 +65,43 @@ TEST(TrafficProgram, ValidateChecksEndpointRange) {
   program.add_flow(0, 9, 1.0);
   EXPECT_THROW(program.validate(4), std::invalid_argument);
   EXPECT_NO_THROW(program.validate(10));
+}
+
+TEST(TrafficProgram, ValidateNamesOutOfRangeFlowAddedAfterInRangeOnes) {
+  TrafficProgram program;
+  program.add_flow(0, 1, 1.0);
+  program.add_sync();
+  program.add_flow(3, 2, 1.0);
+  EXPECT_NO_THROW(program.validate(4));
+  program.add_flow(1, 4, 1.0);
+  program.add_flow(5, 0, 1.0);
+  try {
+    program.validate(4);
+    FAIL() << "endpoint 4 of flow 3 is out of range";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "TrafficProgram: flow 3 references endpoint out of range");
+  }
+  EXPECT_NO_THROW(program.validate(6));
+}
+
+TEST(TrafficProgram, UnitWeightsFollowSetFlowWeight) {
+  TrafficProgram program;
+  const auto a = program.add_flow(0, 1, 1.0);
+  const auto b = program.add_flow(1, 0, 1.0);
+  EXPECT_TRUE(program.unit_weights());
+  program.set_flow_weight(a, 2.0);
+  program.set_flow_weight(a, 3.0);  // still one flow whose weight is not 1
+  program.set_flow_weight(b, 0.5);
+  EXPECT_FALSE(program.unit_weights());
+  program.set_flow_weight(a, 1.0);
+  EXPECT_FALSE(program.unit_weights());
+  program.set_flow_weight(b, 1.0);
+  EXPECT_TRUE(program.unit_weights());
+  program.set_flow_weight(b, 1.0);  // 1 -> 1 changes nothing
+  EXPECT_TRUE(program.unit_weights());
+  EXPECT_THROW(program.set_flow_weight(a, 0.0), std::invalid_argument);
+  EXPECT_TRUE(program.unit_weights());  // a rejected weight is not applied
 }
 
 TEST(TrafficProgram, ValidateIgnoresSyncEndpoints) {
